@@ -3,7 +3,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test smoke bench bench-json ci ci-sampled ci-faults ci-serve ci-dist ci-remote clean cache-clear
+.PHONY: all build test smoke bench bench-json ci ci-faults ci-serve ci-dist ci-remote clean cache-clear
 
 all: build
 
@@ -37,49 +37,28 @@ bench-json: build
 	$(DUNE) exec bench/main.exe -- --check-json BENCH_results.json
 
 # Full CI gate: build everything, run the whole test suite (golden,
-# qcheck differential, packed-replay, fused-sweep and sampling
-# identity/accuracy tests included), then regenerate
-# BENCH_results.json over the trace-sweep figures — whose entries
-# carry the stream-vs-replay probe (stream_ms / replay_ms /
-# sweep_speedup), the fused-kernel probe (unfused_ms / fused_ms /
-# fused_speedup) and the sampling probe (sampled_ms / sampled_speedup
-# / max_rel_error) — and validate the emitted schema (v8); the check
-# fails if any sweep's fused_speedup or sampled_speedup drops below
-# 1.0, or any max_rel_error exceeds 0.02. fig8p adds the learned
-# block (lru_mpki / preuse_mpki / crossover_size) to the file.
+# qcheck differential, packed-replay and fused-sweep tests included),
+# then regenerate BENCH_results.json over the trace-sweep figures —
+# whose entries carry the stream-vs-replay probe (stream_ms /
+# replay_ms / sweep_speedup) — and validate the emitted schema (v10).
+# fig8p adds the learned block (lru_mpki / preuse_mpki /
+# crossover_size) to the file.
 ci: build
 	$(DUNE) runtest
 	rm -f BENCH_results.json
 	REPRO_SCALE=0.05 REPRO_CACHE=0 \
 	  $(DUNE) exec bench/main.exe -- \
-	    fig1 fig5 fig7 fig8 fig8p fig9 --sample 0.25 --json BENCH_results.json
+	    fig1 fig5 fig7 fig8 fig8p fig9 --json BENCH_results.json
 	test -s BENCH_results.json
 	$(DUNE) exec bench/main.exe -- --check-json BENCH_results.json
-	$(MAKE) ci-sampled
 	$(MAKE) ci-faults
 	$(MAKE) ci-serve
 	$(MAKE) ci-dist
 	$(MAKE) ci-remote
 
-# Sampling gate: the trace-sweep figures under representative-region
-# sampling at fraction 0.25, over a fresh cache so the sampling spec
-# lands in every cache key and journal fingerprint from scratch. The
-# schema-v7 entries carry the sampled probe (sampled_ms /
-# sampled_speedup / max_rel_error); the check fails if any sweep's
-# sampled run is slower than the streaming run (sampled_speedup <
-# 1.0) or strays beyond the 2% accuracy gate (max_rel_error > 0.02).
-ci-sampled: build
-	rm -rf _sampled_cache BENCH_sampled.json
-	REPRO_SCALE=0.05 REPRO_CACHE_DIR=_sampled_cache \
-	  $(DUNE) exec bench/main.exe -- \
-	    fig5 fig7 fig8 fig8p fig9 --sample 0.25 --json BENCH_sampled.json
-	test -s BENCH_sampled.json
-	$(DUNE) exec bench/main.exe -- --check-json BENCH_sampled.json
-	rm -rf _sampled_cache BENCH_sampled.json
-
 # Fault-torture gate: the tier-1 suite plus a bench sweep with every
 # fault site firing at 5% (seed 42). Supervision must absorb the
-# injected failures — the run completes, emits schema-v7 JSON that
+# injected failures — the run completes, emits schema-v10 JSON that
 # validates, and the injected-fault counter in the engine footer
 # proves the sites actually fired. The fresh cache directory also
 # exercises quarantine and torn-write recovery end to end.
@@ -96,7 +75,7 @@ ci-faults: build
 # Daemon gate: drive an in-process characterization server with a
 # short closed-loop load test over a fresh cache — 4 concurrent
 # clients, a zero-downtime reload at the halfway mark — and validate
-# the emitted schema-v7 serve block (p50/p90/p99 latency, throughput,
+# the emitted serve block (p50/p90/p99 latency, throughput,
 # update_lag_ms). --expect-serve makes a missing serve run an error,
 # and the check fails unless every concurrent response was
 # byte-identical to the one-shot renderings.
@@ -111,7 +90,7 @@ ci-serve: build
 	rm -rf _serve_cache BENCH_serve.json
 
 # Distributed gate, two runs over fresh caches. Run 1, undisturbed:
-# sweep figures at --workers 4; the schema-v8 distributed block must
+# sweep figures at --workers 4; the distributed block must
 # record every task completed exactly once (dup_results = 0), the
 # N-worker renderings byte-identical to in-process -j1, and
 # dist_speedup at least 1.0 on a multi-core machine (on a single
@@ -140,7 +119,7 @@ ci-dist: build
 # Remote-transport gate, two runs over fresh caches. Run 1,
 # undisturbed: sweep figures with a 4-worker loopback-TCP pool and no
 # local workers, so every artifact must cross the wire through the
-# digest-verified install path; the schema-v9 distributed.remote
+# digest-verified install path; the distributed.remote
 # block must record the registrations, the renderings byte-identical
 # to in-process -j1, and dup_results = 0. Run 2, chaos: the network
 # fault sites firing (dropped dials, dropped heartbeats, corrupted
@@ -167,10 +146,10 @@ ci-remote: build
 
 clean:
 	$(DUNE) clean
-	rm -rf _cache _smoke_cache _faults_cache _serve_cache _sampled_cache \
+	rm -rf _cache _smoke_cache _faults_cache _serve_cache \
 	  _dist_cache _remote_cache _dist_probe_cache.* \
 	  _dispatch_test_cache_* \
-	  BENCH_faults.json BENCH_serve.json BENCH_sampled.json \
+	  BENCH_faults.json BENCH_serve.json \
 	  BENCH_dist.json BENCH_remote.json
 
 cache-clear:

@@ -14,17 +14,6 @@
      dune exec bench/main.exe -- --no-packed  disable packed-trace
                                               capture/replay (stream
                                               every trace afresh)
-     dune exec bench/main.exe -- --no-fused   disable the fused sweep
-                                              kernels (one simulator
-                                              per configuration)
-     dune exec bench/main.exe -- --sample 0.25
-                                              run the trace sweeps over
-                                              representative-region
-                                              plans covering that
-                                              fraction of each capture
-                                              (also REPRO_SAMPLE); adds
-                                              sampled_ms / max_rel_error
-                                              probes to --json output
      dune exec bench/main.exe -- fig5 --workers 4
                                               probe distributed sweep
                                               execution: shard each
@@ -139,10 +128,6 @@ type measurement = {
   m_par_ms : float option; (* uncached -jN probe, jobs > 1 only *)
   m_stream_ms : float option; (* streaming sweep probe, figs 5-9 only *)
   m_replay_ms : float option; (* packed-replay sweep probe, figs 5-9 only *)
-  m_unfused_ms : float option; (* per-config sweep probe, figs 5-9 only *)
-  m_fused_ms : float option; (* fused-kernel sweep probe, figs 5-9 only *)
-  m_sampled_ms : float option; (* sampled sweep probe, figs 5-9 + --sample *)
-  m_max_rel_error : float option; (* worst table-cell error, sampled probe *)
   m_dist_ms : float option; (* --workers N distributed probe *)
   m_dist_speedup : float option; (* in-process -j1 time / distributed time *)
 }
@@ -157,13 +142,9 @@ let speedup_probe ~jobs id =
   if jobs <= 1 then (None, None)
   else begin
     let was = Repro_core.Cache.enabled () in
-    let was_sample = Repro_core.Experiment.sample_fraction () in
     Repro_core.Cache.set_enabled false;
-    Repro_core.Experiment.set_sampled None;
     Fun.protect
-      ~finally:(fun () ->
-        Repro_core.Cache.set_enabled was;
-        Repro_core.Experiment.set_sampled was_sample)
+      ~finally:(fun () -> Repro_core.Cache.set_enabled was)
       (fun () ->
         let timed j =
           Repro_core.Experiment.clear_cache ();
@@ -190,14 +171,11 @@ let sweep_probe id =
   else begin
     let was_cache = Repro_core.Cache.enabled () in
     let was_packed = Repro_core.Experiment.packed_enabled () in
-    let was_sample = Repro_core.Experiment.sample_fraction () in
     Repro_core.Cache.set_enabled false;
-    Repro_core.Experiment.set_sampled None;
     Fun.protect
       ~finally:(fun () ->
         Repro_core.Cache.set_enabled was_cache;
-        Repro_core.Experiment.set_packed was_packed;
-        Repro_core.Experiment.set_sampled was_sample)
+        Repro_core.Experiment.set_packed was_packed)
       (fun () ->
         let timed () =
           let t0 = T.now_ns () in
@@ -216,135 +194,6 @@ let sweep_probe id =
         let replay = Float.min (timed ()) (timed ()) in
         (Some stream, Some replay))
   end
-
-(* Fused-kernel probe for the trace-simulating experiments: the same
-   sweep with the fused multi-configuration kernels disabled (one
-   simulator per configuration over a shared replay) against the
-   fused default. Both timed runs replay warm packed captures over a
-   warm memo, so the ratio isolates the sweep kernel itself. *)
-let fused_probe id =
-  if not (is_trace_sim id) then (None, None)
-  else begin
-    let was_cache = Repro_core.Cache.enabled () in
-    let was_fused = Repro_core.Experiment.fused_enabled () in
-    let was_sample = Repro_core.Experiment.sample_fraction () in
-    Repro_core.Cache.set_enabled false;
-    Repro_core.Experiment.set_sampled None;
-    Fun.protect
-      ~finally:(fun () ->
-        Repro_core.Cache.set_enabled was_cache;
-        Repro_core.Experiment.set_fused was_fused;
-        Repro_core.Experiment.set_sampled was_sample)
-      (fun () ->
-        let timed () =
-          let t0 = T.now_ns () in
-          ignore (Repro_core.Report.run_to_string ~scale ~jobs:1 id);
-          ms_since t0
-        in
-        ignore (timed ()) (* warm the packed-capture memo *);
-        Repro_core.Experiment.set_fused false;
-        (* Min of two passes per arm: the fused_speedup >= 1.0 gate
-           rides on this ratio, so de-noise each side. *)
-        let unfused = Float.min (timed ()) (timed ()) in
-        Repro_core.Experiment.set_fused true;
-        let fused = Float.min (timed ()) (timed ()) in
-        (Some unfused, Some fused))
-  end
-
-(* Numeric table cells of a rendered experiment, in order: maximal
-   digit-led tokens (an optional leading '-', digits, dots), with the
-   "≈" marker and everything from the sampling-plan appendix on
-   ignored. Labels that embed digits ("16K", "btb-1024") tokenize
-   identically on both sides, so they pair up and contribute zero. *)
-let numeric_cells text =
-  let stop = "Sampled run (fraction" in
-  let upto =
-    (* truncate at the appendix header, present only on the sampled side *)
-    let n = String.length text and m = String.length stop in
-    let rec find i =
-      if i + m > n then n
-      else if String.sub text i m = stop then i
-      else find (i + 1)
-    in
-    find 0
-  in
-  let out = ref [] in
-  let i = ref 0 in
-  while !i < upto do
-    let c = text.[!i] in
-    let neg = c = '-' && !i + 1 < upto
-              && (match text.[!i + 1] with '0' .. '9' -> true | _ -> false)
-              && (!i = 0
-                  || match text.[!i - 1] with
-                     | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' -> false
-                     | _ -> true)
-    in
-    if neg || (c >= '0' && c <= '9') then begin
-      let j = ref (!i + if neg then 1 else 0) in
-      while
-        !j < upto
-        && (match text.[!j] with '0' .. '9' | '.' -> true | _ -> false)
-      do
-        incr j
-      done;
-      (match float_of_string_opt (String.sub text !i (!j - !i)) with
-      | Some v -> out := v :: !out
-      | None -> ());
-      i := !j
-    end
-    else incr i
-  done;
-  List.rev !out
-
-(* Worst relative error any rendered cell suffers under sampling,
-   with small-magnitude cells measured against 1.0 so a 0.01 vs 0.02
-   MPKI cell does not read as a 100% miss. [None] when the two
-   renderings do not even pair up cell for cell — that is a shape
-   regression the gate in [check_json] will surface as a missing
-   number. *)
-let table_rel_error ~full ~sampled =
-  let f = numeric_cells full and s = numeric_cells sampled in
-  if List.length f <> List.length s then None
-  else
-    Some
-      (List.fold_left2
-         (fun acc fv sv ->
-           Float.max acc (Float.abs (sv -. fv) /. Float.max (Float.abs fv) 1.0))
-         0.0 f s)
-
-(* Sampled-sweep probe: the representative-region plan against the
-   full replay of the same warm captures. [stream_ms] is the
-   denominator reported as [sampled_speedup] — the cost a harness
-   without packed capture or sampling pays for the same tables. The
-   sampled side pays its own planning (BBV scan + k-means) cost. *)
-let sampled_probe id =
-  match Repro_core.Experiment.sample_fraction () with
-  | None -> (None, None)
-  | Some _ when not (is_trace_sim id) -> (None, None)
-  | Some fraction ->
-      let was_cache = Repro_core.Cache.enabled () in
-      Repro_core.Cache.set_enabled false;
-      Fun.protect
-        ~finally:(fun () ->
-          Repro_core.Cache.set_enabled was_cache;
-          Repro_core.Experiment.set_sampled (Some fraction))
-        (fun () ->
-          let timed () =
-            let t0 = T.now_ns () in
-            let text = Repro_core.Report.run_to_string ~scale ~jobs:1 id in
-            (ms_since t0, text)
-          in
-          Repro_core.Experiment.set_sampled None;
-          ignore (timed ()) (* warm the packed-capture memo *);
-          let _, full = timed () in
-          Repro_core.Experiment.set_sampled (Some fraction);
-          (* Min of two passes: sampled_speedup divides the sweep
-             probe's stream_ms by this, so de-noise the sampled side
-             too (the rendering is deterministic; either text works). *)
-          let ms1, sampled = timed () in
-          let ms2, _ = timed () in
-          let sampled_ms = Float.min ms1 ms2 in
-          (Some sampled_ms, table_rel_error ~full ~sampled))
 
 (* Distributed-execution probe (--workers N): the experiment's task
    space sharded across N worker processes against the same render
@@ -533,8 +382,6 @@ let run_experiment ~jobs ~measure id =
       let probe2 f = if status = "ok" then f () else (None, None) in
       let seq_ms, par_ms = probe2 (fun () -> speedup_probe ~jobs id) in
       let stream_ms, replay_ms = probe2 (fun () -> sweep_probe id) in
-      let unfused_ms, fused_ms = probe2 (fun () -> fused_probe id) in
-      let sampled_ms, max_rel_error = probe2 (fun () -> sampled_probe id) in
       let dist_ms, dist_speedup = probe2 (fun () -> dist_probe id) in
       Some
         { m_id = name;
@@ -553,10 +400,6 @@ let run_experiment ~jobs ~measure id =
           m_par_ms = par_ms;
           m_stream_ms = stream_ms;
           m_replay_ms = replay_ms;
-          m_unfused_ms = unfused_ms;
-          m_fused_ms = fused_ms;
-          m_sampled_ms = sampled_ms;
-          m_max_rel_error = max_rel_error;
           m_dist_ms = dist_ms;
           m_dist_speedup = dist_speedup }
     end
@@ -604,18 +447,6 @@ let measurement_json ~jobs m =
         match (m.m_stream_ms, m.m_replay_ms) with
         | Some s, Some r when r > 0.0 -> J.Num (s /. r)
         | _ -> J.Null );
-      ("unfused_ms", opt m.m_unfused_ms);
-      ("fused_ms", opt m.m_fused_ms);
-      ( "fused_speedup",
-        match (m.m_unfused_ms, m.m_fused_ms) with
-        | Some u, Some f when f > 0.0 -> J.Num (u /. f)
-        | _ -> J.Null );
-      ("sampled_ms", opt m.m_sampled_ms);
-      ( "sampled_speedup",
-        match (m.m_stream_ms, m.m_sampled_ms) with
-        | Some s, Some sp when sp > 0.0 -> J.Num (s /. sp)
-        | _ -> J.Null );
-      ("max_rel_error", opt m.m_max_rel_error);
       ("dist_ms", opt m.m_dist_ms);
       ("dist_speedup", opt m.m_dist_speedup) ]
 
@@ -725,7 +556,7 @@ let emit_json ~jobs ?(serve = J.Null) ?(learned = J.Null)
     ?(distributed = J.Null) path rows =
   let doc =
     J.Obj
-      [ ("schema_version", J.Num 9.0);
+      [ ("schema_version", J.Num 10.0);
         ("scale", J.Num scale);
         ("jobs", J.Num (float_of_int jobs));
         ("packed", J.Bool (Repro_core.Experiment.packed_enabled ()));
@@ -770,8 +601,8 @@ let check_json ?(expect_serve = false) ?(expect_dist = false)
         | None -> fail "field %S missing" name
       in
       (match J.member "schema_version" doc with
-      | Some (J.Num v) when v = 9.0 -> ()
-      | Some (J.Num v) -> fail "schema_version %g (want 9)" v
+      | Some (J.Num v) when v = 10.0 -> ()
+      | Some (J.Num v) -> fail "schema_version %g (want 10)" v
       | Some _ -> fail "schema_version is not a number"
       | None -> fail "top-level \"schema_version\" missing");
       let faulted =
@@ -1005,9 +836,7 @@ let check_json ?(expect_serve = false) ?(expect_dist = false)
               List.iter
                 (fun name -> ignore (probe_field name))
                 [ "seq_ms"; "par_ms"; "speedup_vs_j1"; "stream_ms";
-                  "replay_ms"; "sweep_speedup"; "unfused_ms"; "fused_ms";
-                  "fused_speedup"; "sampled_ms"; "sampled_speedup";
-                  "max_rel_error"; "dist_ms"; "dist_speedup" ];
+                  "replay_ms"; "sweep_speedup"; "dist_ms"; "dist_speedup" ];
               (* A probe's fields travel together: a raw time without
                  its companion (or a derived speedup without its raw
                  inputs) means the emitter half-recorded a probe. And
@@ -1030,7 +859,6 @@ let check_json ?(expect_serve = false) ?(expect_dist = false)
                       (String.concat "/" group))
                 [ [ "seq_ms"; "par_ms"; "speedup_vs_j1" ];
                   [ "stream_ms"; "replay_ms"; "sweep_speedup" ];
-                  [ "unfused_ms"; "fused_ms"; "fused_speedup" ];
                   [ "dist_ms"; "dist_speedup" ] ];
               (* Distributed gate: sharding a sweep's task space over
                  worker processes must not lose to the in-process -j1
@@ -1041,7 +869,7 @@ let check_json ?(expect_serve = false) ?(expect_dist = false)
                  single-core box can merely bound the coordination
                  overhead (frames, journal fsyncs, context switches). *)
               let dist_floor = if single_core then 0.75 else 1.0 in
-              (match J.member "dist_speedup" row with
+              match J.member "dist_speedup" row with
               | Some (J.Num v) when v < dist_floor && not faulted
                                     && not dist_chaos
                                     && not dist_remote_run ->
@@ -1051,36 +879,6 @@ let check_json ?(expect_serve = false) ?(expect_dist = false)
                   else
                     fail "%s: dist_speedup %.2f < 1.0 (distributed sweep \
                           slower than in-process -j1)" id v
-              | _ -> ());
-              (* Perf gate: the fused kernels must never lose to the
-                 per-config simulators they replace. Like the
-                 distributed gate, speed is only gated on undisturbed
-                 runs — fault injection and chaos kills add process
-                 churn that makes wall-clock ratios noise. *)
-              (match J.member "fused_speedup" row with
-              | Some (J.Num v) when v < 1.0 && not faulted && not dist_chaos ->
-                  fail "%s: fused_speedup %.2f < 1.0 (fused kernels slower \
-                        than unfused)" id v
-              | _ -> ());
-              (* Sampling gates: a sampled sweep must beat the full
-                 streaming sweep it stands in for, and may not bend
-                 any rendered table cell past the accuracy budget
-                 (the accuracy gate holds even on disturbed runs —
-                 supervision may cost time, never correctness). *)
-              (match J.member "sampled_speedup" row with
-              | Some (J.Num v) when v < 1.0 && not faulted && not dist_chaos ->
-                  fail "%s: sampled_speedup %.2f < 1.0 (sampled sweep \
-                        slower than the full streaming sweep)" id v
-              | _ -> ());
-              match (J.member "sampled_ms" row, J.member "max_rel_error" row)
-              with
-              | Some (J.Num _), Some (J.Num v) when v > 0.02 ->
-                  fail "%s: max_rel_error %.4f > 0.02 (sampled tables out \
-                        of accuracy budget)" id v
-              | Some (J.Num _), (Some (J.Null | J.Str _ | J.Bool _ | J.Obj _
-                                      | J.Arr _ ) | None) ->
-                  fail "%s: sampled probe ran but full and sampled \
-                        renderings did not pair up cell for cell" id
               | _ -> ())
             rows;
           Printf.printf "%s: ok (%d experiment%s)\n" path (List.length rows)
@@ -1561,23 +1359,6 @@ let parse_flags args =
     | "--no-packed" :: rest ->
         Repro_core.Experiment.set_packed false;
         go jobs acc rest
-    | "--no-fused" :: rest ->
-        Repro_core.Experiment.set_fused false;
-        go jobs acc rest
-    | "--sample" :: f :: rest when f <> "" ->
-        (match float_of_string_opt f with
-        | Some v ->
-            (* set_sampled warns once itself when v clamps *)
-            Repro_core.Experiment.set_sampled (Some v)
-        | None ->
-            Printf.eprintf
-              "bench: ignoring invalid --sample %S (want a fraction in \
-               0.01..1); keeping the default\n%!"
-              f);
-        go jobs acc rest
-    | [ "--sample" ] ->
-        Printf.eprintf "missing fraction after --sample\n";
-        exit 2
     | "--no-journal" :: rest ->
         journal := false;
         go jobs acc rest
@@ -1634,12 +1415,9 @@ let parse_flags args =
 
 let journal_fingerprint ~measure ids =
   String.concat "|"
-    ([ "schema9"; Repro_core.Cache.version; Printf.sprintf "%h" scale;
+    ([ "schema10"; Repro_core.Cache.version; Printf.sprintf "%h" scale;
        string_of_bool measure; string_of_int !dist_workers;
        string_of_int !dist_remote; string_of_bool !dist_kill;
-       (match Repro_core.Experiment.sample_fraction () with
-       | Some f -> Printf.sprintf "%h" f
-       | None -> "");
        (match Repro_util.Faults.spec () with Some s -> s | None -> "") ]
     @ List.map Repro_core.Experiment.to_string ids)
 
@@ -1670,7 +1448,7 @@ let () =
   | Some cfg ->
       (* Load-generator mode: drive the daemon instead of
          regenerating experiments; the emitted file still carries the
-         full v7 schema (with an empty experiment list). *)
+         full schema (with an empty experiment list). *)
       let result = serve_bench cfg ~jobs in
       (match json_out with
       | Some path -> emit_json ~jobs ~serve:(serve_json result) path []

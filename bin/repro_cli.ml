@@ -77,18 +77,6 @@ let timeout_arg =
   in
   Arg.(value & opt (some int) None & info [ "timeout-ms" ] ~docv:"MS" ~doc)
 
-let sample_arg =
-  let doc =
-    "Representative-region sampling fraction in [0.01, 1.0] for the \
-     trace-simulating sweeps of figs 5-9 (also \\$(b,REPRO_SAMPLE)). Each \
-     benchmark's packed trace is clustered into phase regions and only a \
-     representative prefix is simulated per configuration; extrapolated \
-     cells render with a $(b,≈) marker and carry bounded confidence \
-     intervals, and cells the statistical gate cannot bound are simulated \
-     exactly. $(b,1.0) is bit-identical to an unsampled run."
-  in
-  Arg.(value & opt (some float) None & info [ "sample" ] ~docv:"FRAC" ~doc)
-
 let dispatch_workers_arg =
   let doc =
     "Shard each experiment's task space across $(docv) worker processes \
@@ -119,13 +107,10 @@ let lease_batch_arg =
   in
   Arg.(value & opt (some int) None & info [ "lease-batch" ] ~docv:"K" ~doc)
 
-let apply_engine_flags trace jobs no_cache strict faults retry timeout sample =
+let apply_engine_flags trace jobs no_cache strict faults retry timeout =
   if trace then Repro_util.Telemetry.set_enabled true;
   if no_cache then Repro_core.Cache.set_enabled false;
   if strict then Repro_core.Experiment.set_strict true;
-  (match sample with
-  | Some f -> Repro_core.Experiment.set_sampled (Some f)
-  | None -> ());
   (match faults with
   | Some spec -> Repro_util.Faults.configure (Some spec)
   | None -> ());
@@ -147,7 +132,7 @@ let apply_engine_flags trace jobs no_cache strict faults retry timeout sample =
 let engine_flags_base =
   Term.(
     const apply_engine_flags $ trace_arg $ jobs_arg $ no_cache_arg
-    $ strict_arg $ faults_arg $ retry_arg $ timeout_arg $ sample_arg)
+    $ strict_arg $ faults_arg $ retry_arg $ timeout_arg)
 
 let engine_flags =
   Term.(

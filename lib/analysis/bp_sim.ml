@@ -104,118 +104,10 @@ let run_packed pt sims =
         feed_conditional (Array.unsafe_get arr k) i
       done)
 
-(* 6-cell layout for the sampled gate: cause-major, section minor
-   (nt_s, nt_p, tb_s, tb_p, tf_s, tf_p). *)
-let cell_split t = function
-  | 0 | 1 -> t.miss_nt
-  | 2 | 3 -> t.miss_tb
-  | _ -> t.miss_tf
-
-let cell_section c =
-  if c land 1 = 0 then Repro_isa.Section.Serial else Repro_isa.Section.Parallel
-
-let cell_value t c = Tool.Split.get (cell_split t c) (cell_section c)
-
-(* Sampled run: simulate the plan's contiguous prefix (state inside
-   it is exactly the full run's), then per sim either extrapolate the
-   tail by per-cluster miss rate — the per-region conditional-branch
-   mass stands in for a pivot configuration — or, when the gate finds
-   the evidence too weak, simulate the tail exactly (the sim's state
-   carries over, so the escalated result matches the full run). *)
-let run_sampled pt plan sims =
-  let regions = plan.Regions.regions in
-  let nr = Array.length regions in
-  let p = plan.Regions.prefix_regions in
-  let arr = Array.of_list sims in
-  let ns = Array.length arr in
-  let serial, parallel = Repro_isa.Packed_trace.counted pt in
-  List.iter
-    (fun t ->
-      Tool.Split.add t.insts Repro_isa.Section.Serial serial;
-      Tool.Split.add t.insts Repro_isa.Section.Parallel parallel)
-    sims;
-  let cellsn = 6 in
-  let prefix_cells = Array.init (ns * cellsn) (fun _ -> Array.make p 0.0) in
-  let last = Array.make (ns * cellsn) 0 in
-  let feed_all i =
-    for k = 0 to ns - 1 do
-      feed_conditional (Array.unsafe_get arr k) i
-    done
-  in
-  for r = 0 to p - 1 do
-    Repro_isa.Packed_trace.replay_conditionals_range pt
-      ~lo:regions.(r).Regions.lo ~hi:regions.(r).Regions.hi feed_all;
-    for k = 0 to ns - 1 do
-      for c = 0 to cellsn - 1 do
-        let j = (k * cellsn) + c in
-        let v = cell_value arr.(k) c in
-        prefix_cells.(j).(r) <- float_of_int (v - last.(j));
-        last.(j) <- v
-      done
-    done
-  done;
-  let pivot_s =
-    Array.map (fun r -> float_of_int r.Regions.conds_s) regions
-  and pivot_p =
-    Array.map (fun r -> float_of_int r.Regions.conds_p) regions
-  in
-  let tail_conds_s = ref 0 and tail_conds_p = ref 0 in
-  for r = p to nr - 1 do
-    tail_conds_s := !tail_conds_s + regions.(r).Regions.conds_s;
-    tail_conds_p := !tail_conds_p + regions.(r).Regions.conds_p
-  done;
-  let tol = Regions.default_tol in
-  let escalate = Array.make ns false in
-  for k = 0 to ns - 1 do
-    let t = arr.(k) in
-    let est = Array.make cellsn 0.0 in
-    let ok = ref true in
-    for c = 0 to cellsn - 1 do
-      if !ok then begin
-        let sec_insts = if c land 1 = 0 then serial else parallel in
-        let floor = float_of_int sec_insts /. 1000.0 in
-        let pivot = if c land 1 = 0 then pivot_s else pivot_p in
-        (* No canaries here to price extrapolation error, so
-           [err_scale = infinity]: only deviation-zero cells (locked to
-           the pivot shape) extrapolate; everything else escalates. *)
-        match
-          Regions.Cell.gate ~plan ~tol ~floor ~err_floor:0.0 ~err_scale:infinity
-            ~pivot
-            ~prefix:prefix_cells.((k * cellsn) + c)
-        with
-        | Regions.Cell.Exact -> est.(c) <- float_of_int (cell_value t c)
-        | Regions.Cell.Approx { est = e; _ } -> est.(c) <- e
-        | Regions.Cell.Escalate -> ok := false
-      end
-    done;
-    if !ok then begin
-      (* commit: counters become the rounded extrapolated totals *)
-      for c = 0 to cellsn - 1 do
-        let tail =
-          int_of_float (Float.round (est.(c) -. float_of_int (cell_value t c)))
-        in
-        Tool.Split.add (cell_split t c) (cell_section c) (max 0 tail)
-      done;
-      Tool.Split.add t.conds Repro_isa.Section.Serial !tail_conds_s;
-      Tool.Split.add t.conds Repro_isa.Section.Parallel !tail_conds_p
-    end
-    else escalate.(k) <- true
-  done;
-  if Array.exists (fun b -> b) escalate then
-    Repro_isa.Packed_trace.replay_conditionals_range pt
-      ~lo:plan.Regions.prefix_end ~hi:(Regions.total_insts plan) (fun i ->
-        for k = 0 to ns - 1 do
-          if Array.unsafe_get escalate k then
-            feed_conditional (Array.unsafe_get arr k) i
-        done)
-
 let run_all src sims =
   match src with
   | Tool.Source.Stream _ -> Tool.run_all_source src (List.map observer sims)
   | Tool.Source.Packed pt -> run_packed pt sims
-  | Tool.Source.Sampled (pt, plan) ->
-      if Regions.exhaustive plan then run_packed pt sims
-      else run_sampled pt plan sims
 
 let predictor_name t =
   match t.engine with

@@ -50,11 +50,6 @@ let realize = function
    sections serial = 0, parallel = 1. *)
 let cells = 6
 
-(* Extrapolation overlay for a sampled run: estimated cell counts and
-   95% confidence half-widths, same 6-cell layout as [miss]. Absent
-   for exact results (unsampled runs, escalated or static configs). *)
-type approx = { e_miss : float array; ci : float array }
-
 type t = {
   name : string;
   insts_s : int;
@@ -62,7 +57,6 @@ type t = {
   conds_s : int;
   conds_p : int;
   miss : int array; (* the 6 cells of this config *)
-  approx : approx option;
 }
 
 (* The shared history register is wide enough for the deepest gshare
@@ -74,284 +68,7 @@ let ghr_mask = 0xFFFFFF
 let section_bit (i : Inst.t) =
   match i.section with Repro_isa.Section.Serial -> 0 | Repro_isa.Section.Parallel -> 1
 
-(* Single-engine predict/update, used by the sampled passes where the
-   active engine set changes per pass. Semantics match [feed_cond]. *)
-let predict_e e (i : Inst.t) pcx ghr =
-  match e with
-  | Table { table; mask; lbp } -> (
-      let dir =
-        match lbp with
-        | Some l -> F.Loop_predictor.predict l ~pc:i.addr
-        | None -> None
-      in
-      match dir with
-      | Some d -> d
-      | None -> F.Counter.is_taken table ((pcx lxor ghr) land mask))
-  | Closure p -> p.F.Predictor.predict i.addr
-  | Static_e Bp_sim.Always_taken -> true
-  | Static_e Bp_sim.Always_not_taken -> false
-  | Static_e Bp_sim.Btfn -> i.target < i.addr
-
-let update_e e (i : Inst.t) pcx ghr =
-  match e with
-  | Table { table; mask; lbp } ->
-      (match lbp with
-      | Some l -> F.Loop_predictor.update l ~pc:i.addr ~taken:i.taken
-      | None -> ());
-      F.Counter.update table ((pcx lxor ghr) land mask) i.taken
-  | Closure p -> p.F.Predictor.update i.addr i.taken
-  | Static_e _ -> ()
-
-(* The pivot configuration simulates the full capture and anchors the
-   per-cluster extrapolation ratios. It is fixed — independent of the
-   requested spec array — so a sweep over a sub-range of configs
-   produces exactly the results of the same configs inside a larger
-   sweep (the config-axis sharding invariant pinned in
-   test/test_sweep.ml). *)
-let pivot_name = "gshare-small"
-
-(* The canaries also simulate the full capture, at distant points of
-   the design space: {!Regions.Cell.calibrate} extrapolates each from
-   its own prefix and compares against its known total, catching tail
-   bias (engines that only diverge from the pivot once trained —
-   invisible in a cold prefix) that the per-config statistical gate
-   cannot see. *)
-let canary_names = [| "gshare-big"; "tournament-small" |]
-
-let run_sampled pt plan specs =
-  Repro_util.Telemetry.with_span "sweep.sampled" @@ fun () ->
-  let n = Array.length specs in
-  let engines = Array.map realize specs in
-  let pivot = realize (of_name pivot_name) in
-  let canaries = Array.map (fun nm -> realize (of_name nm)) canary_names in
-  let nc = Array.length canaries in
-  let regions = plan.Regions.regions in
-  let nr = Array.length regions in
-  let p = plan.Regions.prefix_regions in
-  let prefix_end = plan.Regions.prefix_end in
-  let total = Regions.total_insts plan in
-  let miss = Array.make (n * cells) 0 in
-  let prefix_cells = Array.init (n * cells) (fun _ -> Array.make p 0.0) in
-  let pivot_cells = Array.init cells (fun _ -> Array.make nr 0.0) in
-  let canary_cells =
-    Array.init (nc * cells) (fun _ -> Array.make nr 0.0)
-  in
-  let ghr = ref 0 in
-  let cur = ref 0 in
-  let cell_of (i : Inst.t) sec =
-    if not i.taken then sec
-    else if i.target < i.addr then 2 + sec
-    else 4 + sec
-  in
-  (* Pass A — prefix: every config plus the pivot, with per-region
-     miss deltas. State inside the prefix is exactly the full run's
-     state (the prefix is contiguous from instruction 0). *)
-  let feed_canaries (i : Inst.t) pcx cell =
-    for c = 0 to nc - 1 do
-      let e = Array.unsafe_get canaries c in
-      if predict_e e i pcx !ghr <> i.taken then begin
-        let row = canary_cells.((c * cells) + cell) in
-        row.(!cur) <- row.(!cur) +. 1.0
-      end;
-      update_e e i pcx !ghr
-    done
-  in
-  let warm_canaries (i : Inst.t) pcx =
-    for c = 0 to nc - 1 do
-      update_e (Array.unsafe_get canaries c) i pcx !ghr
-    done
-  in
-  let feed_prefix (i : Inst.t) =
-    let pcx = i.addr lsr 1 in
-    (if i.warmup then begin
-       update_e pivot i pcx !ghr;
-       warm_canaries i pcx;
-       for k = 0 to n - 1 do
-         update_e (Array.unsafe_get engines k) i pcx !ghr
-       done
-     end
-     else begin
-       let sec = section_bit i in
-       let cell = cell_of i sec in
-       if predict_e pivot i pcx !ghr <> i.taken then begin
-         let row = pivot_cells.(cell) in
-         row.(!cur) <- row.(!cur) +. 1.0
-       end;
-       update_e pivot i pcx !ghr;
-       feed_canaries i pcx cell;
-       for k = 0 to n - 1 do
-         let e = Array.unsafe_get engines k in
-         if predict_e e i pcx !ghr <> i.taken then begin
-           let j = (k * cells) + cell in
-           miss.(j) <- miss.(j) + 1;
-           let row = prefix_cells.(j) in
-           row.(!cur) <- row.(!cur) +. 1.0
-         end;
-         update_e e i pcx !ghr
-       done
-     end);
-    ghr := ((!ghr lsl 1) lor (if i.taken then 1 else 0)) land ghr_mask
-  in
-  for r = 0 to p - 1 do
-    cur := r;
-    Repro_isa.Packed_trace.replay_conditionals_range pt
-      ~lo:regions.(r).Regions.lo ~hi:regions.(r).Regions.hi feed_prefix
-  done;
-  let ghr_prefix = !ghr in
-  (* Pass B — tail: the pivot, plus the static schemes (stateless, so
-     counting them exactly is free and they never need gating). *)
-  let feed_tail_pivot (i : Inst.t) =
-    let pcx = i.addr lsr 1 in
-    (if i.warmup then begin
-       update_e pivot i pcx !ghr;
-       warm_canaries i pcx
-     end
-     else begin
-       let sec = section_bit i in
-       let cell = cell_of i sec in
-       if predict_e pivot i pcx !ghr <> i.taken then begin
-         let row = pivot_cells.(cell) in
-         row.(!cur) <- row.(!cur) +. 1.0
-       end;
-       update_e pivot i pcx !ghr;
-       feed_canaries i pcx cell;
-       for k = 0 to n - 1 do
-         match Array.unsafe_get engines k with
-         | Static_e _ as e ->
-             if predict_e e i pcx !ghr <> i.taken then begin
-               let j = (k * cells) + cell in
-               miss.(j) <- miss.(j) + 1
-             end
-         | Table _ | Closure _ -> ()
-       done
-     end);
-    ghr := ((!ghr lsl 1) lor (if i.taken then 1 else 0)) land ghr_mask
-  in
-  for r = p to nr - 1 do
-    cur := r;
-    Repro_isa.Packed_trace.replay_conditionals_range pt
-      ~lo:regions.(r).Regions.lo ~hi:regions.(r).Regions.hi feed_tail_pivot
-  done;
-  (* Gate every cell of every stateful config: extrapolate the tail
-     per cluster against the pivot, or escalate the whole config. *)
-  let insts_sc =
-    let serial, parallel = Repro_isa.Packed_trace.counted pt in
-    [| serial; parallel |]
-  in
-  let tol = Regions.default_tol in
-  (* Canary calibration per cell: each canary's extrapolation is
-     checked against its known full-trace total, and the gate charges
-     every config the worst canary error as a floor plus the canaries'
-     error-per-deviation price for more erratic configs. A canary
-     that cannot calibrate (prefix too short) poisons the cell and
-     all configs simulate it exactly. The per-cell floor divides by
-     the three cause cells per section so their summed budgets stay
-     within the section's tolerance. *)
-  let cell_floor cell = float_of_int insts_sc.(cell land 1) /. 3000.0 in
-  let cell_model =
-    Array.init cells (fun cell ->
-        let model = ref (Some (0.0, 0.0)) in
-        for c = 0 to nc - 1 do
-          match
-            ( !model,
-              Regions.Cell.calibrate ~plan ~pivot:pivot_cells.(cell)
-                ~actual:canary_cells.((c * cells) + cell) )
-          with
-          | Some (ef, es), Some (e, d) ->
-              model :=
-                Some (Float.max ef e, Float.max es (e /. Float.max d 1.0))
-          | _, None | None, _ -> model := None
-        done;
-        !model)
-  in
-  let approx = Array.make n None in
-  let escalate = Array.make n false in
-  for k = 0 to n - 1 do
-    match engines.(k) with
-    | Static_e _ -> ()
-    | Table _ | Closure _ ->
-        let e_miss = Array.make cells 0.0 and ci = Array.make cells 0.0 in
-        let ok = ref true in
-        for cell = 0 to cells - 1 do
-          if !ok then begin
-            match cell_model.(cell) with
-            | None -> ok := false
-            | Some (err_floor, err_scale) ->
-            let floor = cell_floor cell in
-            match
-              Regions.Cell.gate ~plan ~tol ~floor ~err_floor ~err_scale
-                ~pivot:pivot_cells.(cell)
-                ~prefix:prefix_cells.((k * cells) + cell)
-            with
-            | Regions.Cell.Exact ->
-                e_miss.(cell) <- float_of_int miss.((k * cells) + cell)
-            | Regions.Cell.Approx { est; ci = c } ->
-                e_miss.(cell) <- est;
-                ci.(cell) <- c
-            | Regions.Cell.Escalate -> ok := false
-          end
-        done;
-        if !ok then approx.(k) <- Some { e_miss; ci } else escalate.(k) <- true
-  done;
-  (* Pass C — exact tail for escalated configs, continuing from their
-     prefix state with the history register rewound to the prefix
-     boundary: bit-identical to the full run. *)
-  if Array.exists (fun b -> b) escalate then begin
-    ghr := ghr_prefix;
-    let feed_tail (i : Inst.t) =
-      let pcx = i.addr lsr 1 in
-      (if i.warmup then
-         for k = 0 to n - 1 do
-           if Array.unsafe_get escalate k then
-             update_e (Array.unsafe_get engines k) i pcx !ghr
-         done
-       else begin
-         let sec = section_bit i in
-         let cell = cell_of i sec in
-         for k = 0 to n - 1 do
-           if Array.unsafe_get escalate k then begin
-             let e = Array.unsafe_get engines k in
-             if predict_e e i pcx !ghr <> i.taken then begin
-               let j = (k * cells) + cell in
-               miss.(j) <- miss.(j) + 1
-             end;
-             update_e e i pcx !ghr
-           end
-         done
-       end);
-      ghr := ((!ghr lsl 1) lor (if i.taken then 1 else 0)) land ghr_mask
-    in
-    Repro_isa.Packed_trace.replay_conditionals_range pt ~lo:prefix_end
-      ~hi:total feed_tail
-  end;
-  (* Denominators are exact whatever the plan: instruction counts come
-     from the capture, conditional counts from the plan's per-region
-     sums (the scan counts them the same way the feed would). *)
-  let conds_s =
-    Array.fold_left (fun a r -> a + r.Regions.conds_s) 0 regions
-  and conds_p =
-    Array.fold_left (fun a r -> a + r.Regions.conds_p) 0 regions
-  in
-  Array.mapi
-    (fun k spec ->
-      { name = spec_name spec;
-        insts_s = insts_sc.(0);
-        insts_p = insts_sc.(1);
-        conds_s;
-        conds_p;
-        miss = Array.sub miss (k * cells) cells;
-        approx = approx.(k) })
-    specs
-
-let rec run src specs =
-  match src with
-  | Tool.Source.Sampled (pt, plan) ->
-      if Regions.exhaustive plan then run (Tool.Source.Packed pt) specs
-      else run_sampled pt plan specs
-  | Tool.Source.Packed _ | Tool.Source.Stream _ ->
-      run_exact src specs
-
-and run_exact src specs =
+let run src specs =
   Repro_util.Telemetry.with_span "sweep.fused" @@ fun () ->
   let n = Array.length specs in
   let engines = Array.map realize specs in
@@ -432,8 +149,7 @@ and run_exact src specs =
             else begin
               (if section_bit i = 0 then incr insts_s else incr insts_p);
               if i.Inst.kind = Inst.Cond_branch then feed_cond i
-            end) ]
-  | Tool.Source.Sampled _ -> assert false (* dispatched in [run] *));
+            end) ]);
   Array.mapi
     (fun k spec ->
       { name = spec_name spec;
@@ -441,8 +157,7 @@ and run_exact src specs =
         insts_p = !insts_p;
         conds_s = !conds_s;
         conds_p = !conds_p;
-        miss = Array.sub miss (k * cells) cells;
-        approx = None })
+        miss = Array.sub miss (k * cells) cells })
     specs
 
 let predictor_name t = t.name
@@ -460,61 +175,26 @@ let cause_base = function
   | Bp_sim.On_taken_backward -> 2
   | Bp_sim.On_taken_forward -> 4
 
-let scope_pair_f s p = function
-  | Branch_mix.Total -> s +. p
-  | Branch_mix.Only Repro_isa.Section.Serial -> s
-  | Branch_mix.Only Repro_isa.Section.Parallel -> p
-
-(* Float cell reads: exact integer counts (exactly representable —
-   the unsampled accessors below are unchanged arithmetic) or the
-   extrapolation overlay. *)
-let misses_of_cause_f t cause scope =
-  let b = cause_base cause in
-  match t.approx with
-  | None -> float_of_int (scope_pair t.miss.(b) t.miss.(b + 1) scope)
-  | Some a -> scope_pair_f a.e_miss.(b) a.e_miss.(b + 1) scope
-
-let mispredictions_f t scope =
-  List.fold_left
-    (fun acc c -> acc +. misses_of_cause_f t c scope)
-    0.0 Bp_sim.causes
-
-let approx t = t.approx <> None
-
 let misses_of_cause t cause scope =
-  match t.approx with
-  | None ->
-      let b = cause_base cause in
-      scope_pair t.miss.(b) t.miss.(b + 1) scope
-  | Some _ -> int_of_float (Float.round (misses_of_cause_f t cause scope))
+  let b = cause_base cause in
+  scope_pair t.miss.(b) t.miss.(b + 1) scope
 
 let mispredictions t scope =
-  match t.approx with
-  | None ->
-      List.fold_left
-        (fun acc c -> acc + misses_of_cause t c scope)
-        0 Bp_sim.causes
-  | Some _ -> int_of_float (Float.round (mispredictions_f t scope))
+  List.fold_left
+    (fun acc c -> acc + misses_of_cause t c scope)
+    0 Bp_sim.causes
 
 let mpki t scope =
   let n = insts t scope in
-  if n = 0 then nan else mispredictions_f t scope /. (float_of_int n /. 1000.0)
+  if n = 0 then nan
+  else float_of_int (mispredictions t scope) /. (float_of_int n /. 1000.0)
 
 let misprediction_rate t scope =
   let n = conditional_branches t scope in
-  if n = 0 then nan else mispredictions_f t scope /. float_of_int n
+  if n = 0 then nan
+  else float_of_int (mispredictions t scope) /. float_of_int n
 
 let mpki_by_cause t scope cause =
   let n = insts t scope in
   if n = 0 then nan
-  else misses_of_cause_f t cause scope /. (float_of_int n /. 1000.0)
-
-let mpki_ci t scope =
-  match t.approx with
-  | None -> 0.0
-  | Some a ->
-      let n = insts t scope in
-      if n = 0 then 0.0
-      else
-        let pick b = scope_pair_f a.ci.(b) a.ci.(b + 1) scope in
-        (pick 0 +. pick 2 +. pick 4) /. (float_of_int n /. 1000.0)
+  else float_of_int (misses_of_cause t cause scope) /. (float_of_int n /. 1000.0)

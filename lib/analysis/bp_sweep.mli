@@ -36,26 +36,8 @@ type t
 
 val run : Tool.Source.t -> spec array -> t array
 (** Simulate every spec in one pass; result [i] corresponds to spec
-    [i] and is bit-identical to an unfused [Bp_sim] run of the same
-    configuration over the same source.
-
-    A [Sampled] source simulates every spec over the plan's prefix
-    only, while one fixed pivot configuration covers the full capture;
-    each cell is then either extrapolated per cluster (when
-    {!Regions.Cell.gate} bounds the error under the tolerance —
-    {!approx} reports [true] and {!mpki_ci} the interval) or the whole
-    config is escalated to exact tail simulation continuing from its
-    prefix state, which reproduces the unsampled result bit for bit.
-    Static schemes are always exact. Results never depend on which
-    other specs are in the array. *)
-
-val approx : t -> bool
-(** [true] when any cell of this result is extrapolated rather than
-    counted; such results carry a confidence interval ({!mpki_ci})
-    and render with an [≈] marker upstream. *)
-
-val mpki_ci : t -> Branch_mix.scope -> float
-(** 95% confidence half-width of {!mpki} (0 for exact results). *)
+    [i] and is bit-identical to a per-config [Bp_sim] run of the same
+    configuration over the same source. *)
 
 val predictor_name : t -> string
 val insts : t -> Branch_mix.scope -> int

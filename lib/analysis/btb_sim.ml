@@ -61,106 +61,10 @@ let run_packed pt sims =
         feed_redirect (Array.unsafe_get arr k) i
       done)
 
-(* Sampled run: exact prefix, then per sim either a per-cluster
-   miss-rate extrapolation of the tail (per-region fetch-redirect
-   mass as the pivot) or exact tail simulation when the gate refuses
-   — see [Bp_sim.run_sampled] for the shape. *)
-let run_sampled pt plan sims =
-  let regions = plan.Regions.regions in
-  let nr = Array.length regions in
-  let p = plan.Regions.prefix_regions in
-  let arr = Array.of_list sims in
-  let ns = Array.length arr in
-  let serial, parallel = Repro_isa.Packed_trace.counted pt in
-  List.iter
-    (fun t ->
-      Tool.Split.add t.insts Repro_isa.Section.Serial serial;
-      Tool.Split.add t.insts Repro_isa.Section.Parallel parallel)
-    sims;
-  let cellsn = 2 in
-  let section_of c =
-    if c = 0 then Repro_isa.Section.Serial else Repro_isa.Section.Parallel
-  in
-  let prefix_cells = Array.init (ns * cellsn) (fun _ -> Array.make p 0.0) in
-  let last = Array.make (ns * cellsn) 0 in
-  let feed_all i =
-    for k = 0 to ns - 1 do
-      feed_redirect (Array.unsafe_get arr k) i
-    done
-  in
-  for r = 0 to p - 1 do
-    Repro_isa.Packed_trace.replay_redirects_range pt
-      ~lo:regions.(r).Regions.lo ~hi:regions.(r).Regions.hi feed_all;
-    for k = 0 to ns - 1 do
-      for c = 0 to cellsn - 1 do
-        let j = (k * cellsn) + c in
-        let v = Tool.Split.get arr.(k).misses (section_of c) in
-        prefix_cells.(j).(r) <- float_of_int (v - last.(j));
-        last.(j) <- v
-      done
-    done
-  done;
-  let pivot_s =
-    Array.map (fun r -> float_of_int r.Regions.redirects_s) regions
-  and pivot_p =
-    Array.map (fun r -> float_of_int r.Regions.redirects_p) regions
-  in
-  let tail_taken_s = ref 0 and tail_taken_p = ref 0 in
-  for r = p to nr - 1 do
-    tail_taken_s := !tail_taken_s + regions.(r).Regions.redirects_s;
-    tail_taken_p := !tail_taken_p + regions.(r).Regions.redirects_p
-  done;
-  let tol = Regions.default_tol in
-  let escalate = Array.make ns false in
-  for k = 0 to ns - 1 do
-    let t = arr.(k) in
-    let est = Array.make cellsn 0.0 in
-    let ok = ref true in
-    for c = 0 to cellsn - 1 do
-      if !ok then begin
-        let sec_insts = if c = 0 then serial else parallel in
-        let floor = float_of_int sec_insts /. 1000.0 in
-        let pivot = if c = 0 then pivot_s else pivot_p in
-        (* No canaries here to price extrapolation error, so
-           [err_scale = infinity]: only deviation-zero cells (locked to
-           the pivot shape) extrapolate; everything else escalates. *)
-        match
-          Regions.Cell.gate ~plan ~tol ~floor ~err_floor:0.0 ~err_scale:infinity
-            ~pivot
-            ~prefix:prefix_cells.((k * cellsn) + c)
-        with
-        | Regions.Cell.Exact ->
-            est.(c) <- float_of_int (Tool.Split.get t.misses (section_of c))
-        | Regions.Cell.Approx { est = e; _ } -> est.(c) <- e
-        | Regions.Cell.Escalate -> ok := false
-      end
-    done;
-    if !ok then begin
-      for c = 0 to cellsn - 1 do
-        let prefix = Tool.Split.get t.misses (section_of c) in
-        let tail = int_of_float (Float.round (est.(c) -. float_of_int prefix)) in
-        Tool.Split.add t.misses (section_of c) (max 0 tail)
-      done;
-      Tool.Split.add t.taken Repro_isa.Section.Serial !tail_taken_s;
-      Tool.Split.add t.taken Repro_isa.Section.Parallel !tail_taken_p
-    end
-    else escalate.(k) <- true
-  done;
-  if Array.exists (fun b -> b) escalate then
-    Repro_isa.Packed_trace.replay_redirects_range pt
-      ~lo:plan.Regions.prefix_end ~hi:(Regions.total_insts plan) (fun i ->
-        for k = 0 to ns - 1 do
-          if Array.unsafe_get escalate k then
-            feed_redirect (Array.unsafe_get arr k) i
-        done)
-
 let run_all src sims =
   match src with
   | Tool.Source.Stream _ -> Tool.run_all_source src (List.map observer sims)
   | Tool.Source.Packed pt -> run_packed pt sims
-  | Tool.Source.Sampled (pt, plan) ->
-      if Regions.exhaustive plan then run_packed pt sims
-      else run_sampled pt plan sims
 
 let scope_get split = function
   | Branch_mix.Total -> Tool.Split.total split

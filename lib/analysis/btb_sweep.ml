@@ -5,11 +5,6 @@ module F = Repro_frontend
    section (serial = 0, parallel = 1). *)
 let cells = 2
 
-(* Extrapolation overlay for a sampled run: estimated cell counts and
-   95% confidence half-widths, same 2-cell layout as [miss]. Absent
-   for exact results (unsampled runs and escalated configs). *)
-type approx = { e_miss : float array; ci : float array }
-
 type t = {
   entries : int;
   assoc : int;
@@ -18,221 +13,12 @@ type t = {
   taken_s : int;
   taken_p : int;
   miss : int array; (* the 2 cells of this config *)
-  approx : approx option;
 }
 
 let section_bit (i : Inst.t) =
   match i.section with Repro_isa.Section.Serial -> 0 | Repro_isa.Section.Parallel -> 1
 
-(* The pivot geometry simulates the full capture and anchors the
-   extrapolation ratios; fixed so results never depend on which other
-   configs are swept (the config-axis sharding invariant). The two
-   canaries also cover the full capture, at the capacity extremes:
-   {!Regions.Cell.calibrate} extrapolates each from its own prefix and
-   compares against its known total, catching tail bias (capacity
-   spread absent from the startup-heavy prefix) that the per-config
-   statistical gate cannot see. *)
-let pivot_entries = 512
-let pivot_assoc = 2
-let canary_configs = [| (256, 2); (1024, 8) |]
-
-let run_sampled pt plan configs =
-  Repro_util.Telemetry.with_span "sweep.sampled" @@ fun () ->
-  let n = Array.length configs in
-  let btbs =
-    Array.map (fun (entries, assoc) -> F.Btb.create ~entries ~assoc) configs
-  in
-  let pivot = F.Btb.create ~entries:pivot_entries ~assoc:pivot_assoc in
-  let psets = F.Btb.sets pivot in
-  let pmask = psets - 1 and pshift = Repro_util.Units.log2 psets in
-  let canaries =
-    Array.map
-      (fun (entries, assoc) -> F.Btb.create ~entries ~assoc)
-      canary_configs
-  in
-  let nc = Array.length canaries in
-  let regions = plan.Regions.regions in
-  let nr = Array.length regions in
-  let p = plan.Regions.prefix_regions in
-  let miss = Array.make (n * cells) 0 in
-  let prefix_cells = Array.init (n * cells) (fun _ -> Array.make p 0.0) in
-  let pivot_cells = Array.init cells (fun _ -> Array.make nr 0.0) in
-  let canary_cells =
-    Array.init (nc * cells) (fun _ -> Array.make nr 0.0)
-  in
-  let cur = ref 0 in
-  (* Per-table index geometry, computed once (log2 per call would
-     dominate the feed loops). *)
-  let mask_of b = F.Btb.sets b - 1
-  and shift_of b = Repro_util.Units.log2 (F.Btb.sets b) in
-  let kmask = Array.map mask_of btbs and kshift = Array.map shift_of btbs in
-  let cmask = Array.map mask_of canaries
-  and cshift = Array.map shift_of canaries in
-  let feed_one b ~mask ~shift (i : Inst.t) pcx count =
-    let set = pcx land mask and tag = pcx lsr shift in
-    if i.warmup then F.Btb.insert_at b ~set ~tag ~target:i.target
-    else begin
-      (match F.Btb.lookup_at b ~set ~tag with
-      | Some target when target = i.target -> ()
-      | Some _ | None -> count ());
-      F.Btb.insert_at b ~set ~tag ~target:i.target
-    end
-  in
-  let feed_pivot_and_canaries (i : Inst.t) pcx sec =
-    (if i.warmup then
-       F.Btb.insert_at pivot ~set:(pcx land pmask) ~tag:(pcx lsr pshift)
-         ~target:i.target
-     else begin
-       let set = pcx land pmask and tag = pcx lsr pshift in
-       (match F.Btb.lookup_at pivot ~set ~tag with
-       | Some target when target = i.target -> ()
-       | Some _ | None ->
-           let row = pivot_cells.(sec) in
-           row.(!cur) <- row.(!cur) +. 1.0);
-       F.Btb.insert_at pivot ~set ~tag ~target:i.target
-     end);
-    for c = 0 to nc - 1 do
-      feed_one
-        (Array.unsafe_get canaries c)
-        ~mask:(Array.unsafe_get cmask c)
-        ~shift:(Array.unsafe_get cshift c)
-        i pcx
-        (fun () ->
-          let row = canary_cells.((c * cells) + sec) in
-          row.(!cur) <- row.(!cur) +. 1.0)
-    done
-  in
-  (* Pass A — prefix: every config plus the pivot and canaries. *)
-  let feed_prefix (i : Inst.t) =
-    let pcx = i.addr lsr 1 in
-    let sec = section_bit i in
-    feed_pivot_and_canaries i pcx sec;
-    for k = 0 to n - 1 do
-      feed_one
-        (Array.unsafe_get btbs k)
-        ~mask:(Array.unsafe_get kmask k)
-        ~shift:(Array.unsafe_get kshift k)
-        i pcx
-        (fun () ->
-          let j = (k * cells) + sec in
-          miss.(j) <- miss.(j) + 1;
-          let row = prefix_cells.(j) in
-          row.(!cur) <- row.(!cur) +. 1.0)
-    done
-  in
-  for r = 0 to p - 1 do
-    cur := r;
-    Repro_isa.Packed_trace.replay_redirects_range pt
-      ~lo:regions.(r).Regions.lo ~hi:regions.(r).Regions.hi feed_prefix
-  done;
-  (* Pass B — tail: pivot and canaries only. *)
-  let feed_tail_pivot (i : Inst.t) =
-    let pcx = i.addr lsr 1 in
-    let sec = section_bit i in
-    feed_pivot_and_canaries i pcx sec
-  in
-  for r = p to nr - 1 do
-    cur := r;
-    Repro_isa.Packed_trace.replay_redirects_range pt
-      ~lo:regions.(r).Regions.lo ~hi:regions.(r).Regions.hi feed_tail_pivot
-  done;
-  (* Gate, then exact tail for escalated configs: their BTB state
-     carries over from the prefix, so escalation is bit-exact. *)
-  let serial, parallel = Repro_isa.Packed_trace.counted pt in
-  let insts_sc = [| serial; parallel |] in
-  let tol = Regions.default_tol in
-  (* Canary calibration per cell: each canary's extrapolation is
-     checked against its known full-trace total, and the gate charges
-     every config the worst canary error as a floor plus the canaries'
-     error-per-deviation price for more erratic configs. A canary
-     that cannot calibrate (prefix too short) poisons the cell and
-     every config escalates. *)
-  let cell_model =
-    Array.init cells (fun cell ->
-        let model = ref (Some (0.0, 0.0)) in
-        for c = 0 to nc - 1 do
-          match
-            ( !model,
-              Regions.Cell.calibrate ~plan ~pivot:pivot_cells.(cell)
-                ~actual:canary_cells.((c * cells) + cell) )
-          with
-          | Some (ef, es), Some (e, d) ->
-              model :=
-                Some (Float.max ef e, Float.max es (e /. Float.max d 1.0))
-          | _, None | None, _ -> model := None
-        done;
-        !model)
-  in
-  let approx = Array.make n None in
-  let escalate = Array.make n false in
-  for k = 0 to n - 1 do
-    let e_miss = Array.make cells 0.0 and ci = Array.make cells 0.0 in
-    let ok = ref true in
-    for cell = 0 to cells - 1 do
-      if !ok then begin
-        let floor = float_of_int insts_sc.(cell) /. 1000.0 in
-        match cell_model.(cell) with
-        | None -> ok := false
-        | Some (err_floor, err_scale) ->
-        match
-          Regions.Cell.gate ~plan ~tol ~floor ~err_floor ~err_scale
-            ~pivot:pivot_cells.(cell)
-            ~prefix:prefix_cells.((k * cells) + cell)
-        with
-        | Regions.Cell.Exact ->
-            e_miss.(cell) <- float_of_int miss.((k * cells) + cell)
-        | Regions.Cell.Approx { est; ci = c } ->
-            e_miss.(cell) <- est;
-            ci.(cell) <- c
-        | Regions.Cell.Escalate -> ok := false
-      end
-    done;
-    if !ok then approx.(k) <- Some { e_miss; ci } else escalate.(k) <- true
-  done;
-  if Array.exists (fun b -> b) escalate then begin
-    let feed_tail (i : Inst.t) =
-      let pcx = i.addr lsr 1 in
-      let sec = section_bit i in
-      for k = 0 to n - 1 do
-        if Array.unsafe_get escalate k then
-          feed_one
-            (Array.unsafe_get btbs k)
-            ~mask:(Array.unsafe_get kmask k)
-            ~shift:(Array.unsafe_get kshift k)
-            i pcx
-            (fun () ->
-              let j = (k * cells) + sec in
-              miss.(j) <- miss.(j) + 1)
-      done
-    in
-    Repro_isa.Packed_trace.replay_redirects_range pt
-      ~lo:plan.Regions.prefix_end ~hi:(Regions.total_insts plan) feed_tail
-  end;
-  let taken_s =
-    Array.fold_left (fun a r -> a + r.Regions.redirects_s) 0 regions
-  and taken_p =
-    Array.fold_left (fun a r -> a + r.Regions.redirects_p) 0 regions
-  in
-  Array.mapi
-    (fun k (entries, assoc) ->
-      { entries;
-        assoc;
-        insts_s = serial;
-        insts_p = parallel;
-        taken_s;
-        taken_p;
-        miss = Array.sub miss (k * cells) cells;
-        approx = approx.(k) })
-    configs
-
-let rec run src configs =
-  match src with
-  | Tool.Source.Sampled (pt, plan) ->
-      if Regions.exhaustive plan then run (Tool.Source.Packed pt) configs
-      else run_sampled pt plan configs
-  | Tool.Source.Packed _ | Tool.Source.Stream _ -> run_exact src configs
-
-and run_exact src configs =
+let run src configs =
   Repro_util.Telemetry.with_span "sweep.fused" @@ fun () ->
   let n = Array.length configs in
   let btbs =
@@ -315,8 +101,7 @@ and run_exact src configs =
             else begin
               (if section_bit i = 0 then incr insts_s else incr insts_p);
               if redirect then feed_redirect i
-            end) ]
-  | Tool.Source.Sampled _ -> assert false (* dispatched in [run] *));
+            end) ]);
   Array.mapi
     (fun k (entries, assoc) ->
       { entries;
@@ -325,8 +110,7 @@ and run_exact src configs =
         insts_p = !insts_p;
         taken_s = !taken_s;
         taken_p = !taken_p;
-        miss = Array.sub miss (k * cells) cells;
-        approx = None })
+        miss = Array.sub miss (k * cells) cells })
     configs
 
 let entries t = t.entries
@@ -337,38 +121,15 @@ let scope_pair s p = function
   | Branch_mix.Only Repro_isa.Section.Serial -> s
   | Branch_mix.Only Repro_isa.Section.Parallel -> p
 
-let scope_pair_f s p = function
-  | Branch_mix.Total -> s +. p
-  | Branch_mix.Only Repro_isa.Section.Serial -> s
-  | Branch_mix.Only Repro_isa.Section.Parallel -> p
-
 let insts t scope = scope_pair t.insts_s t.insts_p scope
 let taken_branches t scope = scope_pair t.taken_s t.taken_p scope
-
-let misses_f t scope =
-  match t.approx with
-  | None -> float_of_int (scope_pair t.miss.(0) t.miss.(1) scope)
-  | Some a -> scope_pair_f a.e_miss.(0) a.e_miss.(1) scope
-
-let approx t = t.approx <> None
-
-let misses t scope =
-  match t.approx with
-  | None -> scope_pair t.miss.(0) t.miss.(1) scope
-  | Some _ -> int_of_float (Float.round (misses_f t scope))
+let misses t scope = scope_pair t.miss.(0) t.miss.(1) scope
 
 let mpki t scope =
   let n = insts t scope in
-  if n = 0 then nan else misses_f t scope /. (float_of_int n /. 1000.0)
+  if n = 0 then nan
+  else float_of_int (misses t scope) /. (float_of_int n /. 1000.0)
 
 let miss_rate t scope =
   let n = taken_branches t scope in
-  if n = 0 then nan else misses_f t scope /. float_of_int n
-
-let mpki_ci t scope =
-  match t.approx with
-  | None -> 0.0
-  | Some a ->
-      let n = insts t scope in
-      if n = 0 then 0.0
-      else scope_pair_f a.ci.(0) a.ci.(1) scope /. (float_of_int n /. 1000.0)
+  if n = 0 then nan else float_of_int (misses t scope) /. float_of_int n

@@ -7,7 +7,7 @@
     every same-geometry table is driven through
     {!Repro_frontend.Btb.lookup_at}/[insert_at] with the shared
     pair. Miss counts land in a flat config-major matrix. Results
-    are bit-identical to unfused {!Btb_sim} runs (pinned by the
+    are bit-identical to per-config {!Btb_sim} runs (pinned by the
     qcheck differential in [test/test_sweep.ml]).
 
     Runs under a [sweep.fused] telemetry span. *)
@@ -17,22 +17,7 @@ type t
 
 val run : Tool.Source.t -> (int * int) array -> t array
 (** [run src configs] with [(entries, assoc)] pairs; result [i]
-    corresponds to [configs.(i)].
-
-    A [Sampled] source simulates every config over the plan's prefix
-    while a fixed pivot geometry covers the full capture; each cell is
-    extrapolated per cluster when {!Regions.Cell.gate} bounds the
-    error ({!approx}/{!mpki_ci}), otherwise the config is escalated to
-    exact tail simulation continuing from its prefix state —
-    bit-identical to the unsampled run. Results never depend on which
-    other configs are in the array. *)
-
-val approx : t -> bool
-(** [true] when this result's cells are extrapolated rather than
-    counted. *)
-
-val mpki_ci : t -> Branch_mix.scope -> float
-(** 95% confidence half-width of {!mpki} (0 for exact results). *)
+    corresponds to [configs.(i)]. *)
 
 val entries : t -> int
 val assoc : t -> int

@@ -40,103 +40,10 @@ let feed t (i : Inst.t) =
 
 let observer t = feed t
 
-(* Sampled run: exact prefix, then per sim either a per-cluster
-   miss-rate extrapolation of the tail (per-region instruction mass
-   as the pivot) or exact tail simulation when the gate refuses —
-   see [Bp_sim.run_sampled] for the shape. The fetch-line register
-   carries across region boundaries because the prefix is replayed
-   contiguously, so escalated sims match the full run exactly. *)
-let run_sampled pt plan sims =
-  let regions = plan.Regions.regions in
-  let nr = Array.length regions in
-  let p = plan.Regions.prefix_regions in
-  let arr = Array.of_list sims in
-  let ns = Array.length arr in
-  let cellsn = 2 in
-  let section_of c =
-    if c = 0 then Repro_isa.Section.Serial else Repro_isa.Section.Parallel
-  in
-  let prefix_cells = Array.init (ns * cellsn) (fun _ -> Array.make p 0.0) in
-  let last = Array.make (ns * cellsn) 0 in
-  let feed_all i =
-    for k = 0 to ns - 1 do
-      feed (Array.unsafe_get arr k) i
-    done
-  in
-  for r = 0 to p - 1 do
-    Repro_isa.Packed_trace.replay_range pt ~lo:regions.(r).Regions.lo
-      ~hi:regions.(r).Regions.hi feed_all;
-    for k = 0 to ns - 1 do
-      for c = 0 to cellsn - 1 do
-        let j = (k * cellsn) + c in
-        let v = Tool.Split.get arr.(k).misses (section_of c) in
-        prefix_cells.(j).(r) <- float_of_int (v - last.(j));
-        last.(j) <- v
-      done
-    done
-  done;
-  let pivot_s =
-    Array.map (fun r -> float_of_int r.Regions.counted_s) regions
-  and pivot_p =
-    Array.map (fun r -> float_of_int r.Regions.counted_p) regions
-  in
-  let tail_insts_s = ref 0 and tail_insts_p = ref 0 in
-  for r = p to nr - 1 do
-    tail_insts_s := !tail_insts_s + regions.(r).Regions.counted_s;
-    tail_insts_p := !tail_insts_p + regions.(r).Regions.counted_p
-  done;
-  let serial, parallel = Repro_isa.Packed_trace.counted pt in
-  let tol = Regions.default_tol in
-  let escalate = Array.make ns false in
-  for k = 0 to ns - 1 do
-    let t = arr.(k) in
-    let est = Array.make cellsn 0.0 in
-    let ok = ref true in
-    for c = 0 to cellsn - 1 do
-      if !ok then begin
-        let sec_insts = if c = 0 then serial else parallel in
-        let floor = float_of_int sec_insts /. 1000.0 in
-        let pivot = if c = 0 then pivot_s else pivot_p in
-        (* No canaries here to price extrapolation error, so
-           [err_scale = infinity]: only deviation-zero cells (locked to
-           the pivot shape) extrapolate; everything else escalates. *)
-        match
-          Regions.Cell.gate ~plan ~tol ~floor ~err_floor:0.0 ~err_scale:infinity
-            ~pivot
-            ~prefix:prefix_cells.((k * cellsn) + c)
-        with
-        | Regions.Cell.Exact ->
-            est.(c) <- float_of_int (Tool.Split.get t.misses (section_of c))
-        | Regions.Cell.Approx { est = e; _ } -> est.(c) <- e
-        | Regions.Cell.Escalate -> ok := false
-      end
-    done;
-    if !ok then begin
-      for c = 0 to cellsn - 1 do
-        let prefix = Tool.Split.get t.misses (section_of c) in
-        let tail = int_of_float (Float.round (est.(c) -. float_of_int prefix)) in
-        Tool.Split.add t.misses (section_of c) (max 0 tail)
-      done;
-      Tool.Split.add t.insts Repro_isa.Section.Serial !tail_insts_s;
-      Tool.Split.add t.insts Repro_isa.Section.Parallel !tail_insts_p
-    end
-    else escalate.(k) <- true
-  done;
-  if Array.exists (fun b -> b) escalate then
-    Repro_isa.Packed_trace.replay_range pt ~lo:plan.Regions.prefix_end
-      ~hi:(Regions.total_insts plan) (fun i ->
-        for k = 0 to ns - 1 do
-          if Array.unsafe_get escalate k then feed (Array.unsafe_get arr k) i
-        done)
-
 (* The I-cache observes every instruction (sequential extraction and
    line crossings), so the packed form brings no filtering — just a
    much cheaper producer than re-running the generator. *)
-let run_all src sims =
-  match src with
-  | Tool.Source.Sampled (pt, plan) when not (Regions.exhaustive plan) ->
-      run_sampled pt plan sims
-  | _ -> Tool.run_all_source src (List.map feed sims)
+let run_all src sims = Tool.run_all_source src (List.map feed sims)
 
 let scope_get split = function
   | Branch_mix.Total -> Tool.Split.total split

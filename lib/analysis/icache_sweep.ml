@@ -5,17 +5,11 @@ module F = Repro_frontend
    section (serial = 0, parallel = 1). *)
 let cells = 2
 
-(* Extrapolation overlay for a sampled run: estimated cell counts and
-   95% confidence half-widths, same 2-cell layout as [miss]. Absent
-   for exact results (unsampled runs and escalated configs). *)
-type approx = { e_miss : float array; ci : float array }
-
 type t = {
   cache : F.Icache.t;
   insts_s : int;
   insts_p : int;
   miss : int array; (* the 2 cells of this config *)
-  approx : approx option;
 }
 
 (* A sweep point: geometry plus replacement policy. The policy never
@@ -56,44 +50,18 @@ type group = {
 let section_bit (i : Inst.t) =
   match i.section with Repro_isa.Section.Serial -> 0 | Repro_isa.Section.Parallel -> 1
 
-(* The pivot cache simulates the full capture and anchors the
-   extrapolation ratios; fixed so results never depend on which other
-   configs are swept. The two canaries also cover the full capture,
-   at the capacity/associativity extremes: {!Regions.Cell.calibrate}
-   extrapolates each from its own prefix and compares against its
-   known total, catching tail bias (capacity spread absent from the
-   startup-heavy prefix) that the per-config statistical gate cannot
-   see. Both keep the pivot's 64-byte lines so the anchor caches add
-   no extra line-size group to the sampled passes — per-instruction
-   group overhead, not cache-access work, dominates the batched
-   feed. *)
-let pivot_config = cfg (16 * 1024, 64, 2)
-let canary_configs = [| cfg (8 * 1024, 64, 2); cfg (32 * 1024, 64, 8) |]
-
-(* Shared group machinery: both the exact and the sampled paths
-   drive every cache through line-size groups with deferred same-line
-   extraction (see [group] above). The sampled passes additionally
-   carry each line size's fetch-line register across pass boundaries:
-   the access-vs-extract decision depends only on the instruction
-   stream and the line size, so every group with the same line size
-   holds the same [last_line] at any point in the stream, and a pass
-   resuming mid-stream seeds it from the previous pass's groups. This
-   keeps escalated configurations bit-identical to the exact path. *)
-
-let build_groups ~line_bytes ~members =
+(* Partition config indices by line size, in first-appearance
+   order. *)
+let build_groups line_bytes =
   let distinct = ref [] in
   Array.iter
-    (fun k ->
-      let lb = line_bytes.(k) in
-      if not (List.mem lb !distinct) then distinct := lb :: !distinct)
-    members;
+    (fun lb -> if not (List.mem lb !distinct) then distinct := lb :: !distinct)
+    line_bytes;
+  let members = List.init (Array.length line_bytes) Fun.id in
   List.rev !distinct
   |> List.map (fun lb ->
          let mem =
-           Array.of_list
-             (List.filter
-                (fun k -> line_bytes.(k) = lb)
-                (Array.to_list members))
+           Array.of_list (List.filter (fun k -> line_bytes.(k) = lb) members)
          in
          { line_shift = Repro_util.Units.log2 lb;
            line_mask = lb - 1;
@@ -193,192 +161,7 @@ let grouped_feed ~caches ~groups ~on_inst ~on_miss =
       done
     end
 
-(* End-of-pass snapshot of each line size's fetch-line register, used
-   to seed the groups of the next pass resuming at the same stream
-   position. *)
-let snapshot_last groups =
-  let m = Hashtbl.create 4 in
-  Array.iter (fun grp -> Hashtbl.replace m grp.line_mask grp.last_line) groups;
-  m
-
-let seed_last groups m =
-  Array.iter
-    (fun grp ->
-      match Hashtbl.find_opt m grp.line_mask with
-      | Some l -> grp.last_line <- l
-      | None -> ())
-    groups
-
-let run_sampled ?next_line_prefetch pt plan configs =
-  Repro_util.Telemetry.with_span "sweep.sampled" @@ fun () ->
-  let n = Array.length configs in
-  (* Extended cache set: the sweep configs, then the pivot, then the
-     canaries — all driven by the same grouped feeder, with group
-     membership varying per pass. *)
-  let ext_configs =
-    Array.concat [ configs; [| pivot_config |]; canary_configs ]
-  in
-  let nc = Array.length canary_configs in
-  let caches =
-    Array.map
-      (fun c ->
-        F.Icache.create ?next_line_prefetch ~policy:c.policy
-          ~size_bytes:c.size_bytes ~line_bytes:c.line_bytes ~assoc:c.assoc ())
-      ext_configs
-  in
-  let line_bytes = Array.map (fun c -> c.line_bytes) ext_configs in
-  let regions = plan.Regions.regions in
-  let nr = Array.length regions in
-  let p = plan.Regions.prefix_regions in
-  let miss = Array.make (n * cells) 0 in
-  let prefix_cells = Array.init (n * cells) (fun _ -> Array.make p 0.0) in
-  let pivot_cells = Array.init cells (fun _ -> Array.make nr 0.0) in
-  let canary_cells =
-    Array.init (nc * cells) (fun _ -> Array.make nr 0.0)
-  in
-  let cur = ref 0 in
-  let no_inst _ = () in
-  let record_anchor k sec =
-    if k = n then begin
-      let row = pivot_cells.(sec) in
-      row.(!cur) <- row.(!cur) +. 1.0
-    end
-    else begin
-      let row = canary_cells.(((k - n - 1) * cells) + sec) in
-      row.(!cur) <- row.(!cur) +. 1.0
-    end
-  in
-  (* Pass A — prefix: every config plus the pivot and canaries. *)
-  let groups_a =
-    build_groups ~line_bytes ~members:(Array.init (n + 1 + nc) (fun k -> k))
-  in
-  let feed_prefix =
-    grouped_feed ~caches ~groups:groups_a ~on_inst:no_inst
-      ~on_miss:(fun k sec ->
-        if k < n then begin
-          let j = (k * cells) + sec in
-          miss.(j) <- miss.(j) + 1;
-          let row = prefix_cells.(j) in
-          row.(!cur) <- row.(!cur) +. 1.0
-        end
-        else record_anchor k sec)
-  in
-  for r = 0 to p - 1 do
-    cur := r;
-    Repro_isa.Packed_trace.replay_range pt ~lo:regions.(r).Regions.lo
-      ~hi:regions.(r).Regions.hi feed_prefix
-  done;
-  Array.iter (flush caches) groups_a;
-  let last_at_prefix = snapshot_last groups_a in
-  (* Pass B — tail: pivot and canaries only. *)
-  let groups_b =
-    build_groups ~line_bytes ~members:(Array.init (1 + nc) (fun c -> n + c))
-  in
-  seed_last groups_b last_at_prefix;
-  let feed_tail_pivot =
-    grouped_feed ~caches ~groups:groups_b ~on_inst:no_inst
-      ~on_miss:record_anchor
-  in
-  for r = p to nr - 1 do
-    cur := r;
-    Repro_isa.Packed_trace.replay_range pt ~lo:regions.(r).Regions.lo
-      ~hi:regions.(r).Regions.hi feed_tail_pivot
-  done;
-  Array.iter (flush caches) groups_b;
-  (* Gate, then exact tail for escalated configs: cache contents and
-     fetch-line registers carry over from the prefix, so escalation
-     is bit-exact. *)
-  let serial, parallel = Repro_isa.Packed_trace.counted pt in
-  let insts_sc = [| serial; parallel |] in
-  let tol = Regions.default_tol in
-  (* Canary calibration per cell: each canary's extrapolation is
-     checked against its known full-trace total, and the gate charges
-     every config the worst canary error as a floor plus the canaries'
-     error-per-deviation price for more erratic configs. A canary
-     that cannot calibrate (prefix too short) poisons the cell and
-     every config escalates. *)
-  let cell_model =
-    Array.init cells (fun cell ->
-        let model = ref (Some (0.0, 0.0)) in
-        for c = 0 to nc - 1 do
-          match
-            ( !model,
-              Regions.Cell.calibrate ~plan ~pivot:pivot_cells.(cell)
-                ~actual:canary_cells.((c * cells) + cell) )
-          with
-          | Some (ef, es), Some (e, d) ->
-              model :=
-                Some (Float.max ef e, Float.max es (e /. Float.max d 1.0))
-          | _, None | None, _ -> model := None
-        done;
-        !model)
-  in
-  let approx = Array.make n None in
-  let escalate = Array.make n false in
-  for k = 0 to n - 1 do
-    let e_miss = Array.make cells 0.0 and ci = Array.make cells 0.0 in
-    let ok = ref true in
-    for cell = 0 to cells - 1 do
-      if !ok then begin
-        let floor = float_of_int insts_sc.(cell) /. 1000.0 in
-        match cell_model.(cell) with
-        | None -> ok := false
-        | Some (err_floor, err_scale) ->
-        match
-          Regions.Cell.gate ~plan ~tol ~floor ~err_floor ~err_scale
-            ~pivot:pivot_cells.(cell)
-            ~prefix:prefix_cells.((k * cells) + cell)
-        with
-        | Regions.Cell.Exact ->
-            e_miss.(cell) <- float_of_int miss.((k * cells) + cell)
-        | Regions.Cell.Approx { est; ci = c } ->
-            e_miss.(cell) <- est;
-            ci.(cell) <- c
-        | Regions.Cell.Escalate -> ok := false
-      end
-    done;
-    if !ok then approx.(k) <- Some { e_miss; ci } else escalate.(k) <- true
-  done;
-  (* Pass C — exact tail for escalated configs, resuming from their
-     prefix state and the prefix-boundary fetch-line registers. *)
-  if Array.exists (fun b -> b) escalate then begin
-    let members = ref [] in
-    for k = n - 1 downto 0 do
-      if escalate.(k) then members := k :: !members
-    done;
-    let groups_c =
-      build_groups ~line_bytes ~members:(Array.of_list !members)
-    in
-    seed_last groups_c last_at_prefix;
-    let feed_tail =
-      grouped_feed ~caches ~groups:groups_c ~on_inst:no_inst
-        ~on_miss:(fun k sec ->
-          let j = (k * cells) + sec in
-          miss.(j) <- miss.(j) + 1)
-    in
-    Repro_isa.Packed_trace.replay_range pt ~lo:plan.Regions.prefix_end
-      ~hi:(Regions.total_insts plan) feed_tail;
-    Array.iter (flush caches) groups_c
-  end;
-  Array.mapi
-    (fun k _ ->
-      { cache = caches.(k);
-        insts_s = serial;
-        insts_p = parallel;
-        miss = Array.sub miss (k * cells) cells;
-        approx = approx.(k) })
-    configs
-
-let rec run ?next_line_prefetch src configs =
-  match src with
-  | Tool.Source.Sampled (pt, plan) ->
-      if Regions.exhaustive plan then
-        run ?next_line_prefetch (Tool.Source.Packed pt) configs
-      else run_sampled ?next_line_prefetch pt plan configs
-  | Tool.Source.Packed _ | Tool.Source.Stream _ ->
-      run_exact ?next_line_prefetch src configs
-
-and run_exact ?next_line_prefetch src configs =
+let run ?next_line_prefetch src configs =
   Repro_util.Telemetry.with_span "sweep.fused" @@ fun () ->
   let n = Array.length configs in
   let caches =
@@ -388,10 +171,7 @@ and run_exact ?next_line_prefetch src configs =
           ~size_bytes:c.size_bytes ~line_bytes:c.line_bytes ~assoc:c.assoc ())
       configs
   in
-  let line_bytes = Array.map (fun c -> c.line_bytes) configs in
-  let groups =
-    build_groups ~line_bytes ~members:(Array.init n (fun k -> k))
-  in
+  let groups = build_groups (Array.map (fun c -> c.line_bytes) configs) in
   let miss = Array.make (n * cells) 0 in
   let insts_s = ref 0 and insts_p = ref 0 in
   let feed =
@@ -408,8 +188,7 @@ and run_exact ?next_line_prefetch src configs =
       { cache = caches.(k);
         insts_s = !insts_s;
         insts_p = !insts_p;
-        miss = Array.sub miss (k * cells) cells;
-        approx = None })
+        miss = Array.sub miss (k * cells) cells })
     configs
 
 let cache t = t.cache
@@ -419,36 +198,13 @@ let scope_pair s p = function
   | Branch_mix.Only Repro_isa.Section.Serial -> s
   | Branch_mix.Only Repro_isa.Section.Parallel -> p
 
-let scope_pair_f s p = function
-  | Branch_mix.Total -> s +. p
-  | Branch_mix.Only Repro_isa.Section.Serial -> s
-  | Branch_mix.Only Repro_isa.Section.Parallel -> p
-
 let insts t scope = scope_pair t.insts_s t.insts_p scope
-
-let misses_f t scope =
-  match t.approx with
-  | None -> float_of_int (scope_pair t.miss.(0) t.miss.(1) scope)
-  | Some a -> scope_pair_f a.e_miss.(0) a.e_miss.(1) scope
-
-let approx t = t.approx <> None
-
-let misses t scope =
-  match t.approx with
-  | None -> scope_pair t.miss.(0) t.miss.(1) scope
-  | Some _ -> int_of_float (Float.round (misses_f t scope))
+let misses t scope = scope_pair t.miss.(0) t.miss.(1) scope
 
 let mpki t scope =
   let n = insts t scope in
-  if n = 0 then nan else misses_f t scope /. (float_of_int n /. 1000.0)
-
-let mpki_ci t scope =
-  match t.approx with
-  | None -> 0.0
-  | Some a ->
-      let n = insts t scope in
-      if n = 0 then 0.0
-      else scope_pair_f a.ci.(0) a.ci.(1) scope /. (float_of_int n /. 1000.0)
+  if n = 0 then nan
+  else float_of_int (misses t scope) /. (float_of_int n /. 1000.0)
 
 let accesses t = F.Icache.accesses t.cache
 let usefulness t = F.Icache.usefulness t.cache

@@ -10,7 +10,7 @@
     (dominant) same-line path the consumed-granule bitmask is
     precomputed once and or'd into every member cache through
     {!Repro_frontend.Icache.consume_line}. Results are bit-identical
-    to unfused {!Icache_sim} runs (pinned by the qcheck differential
+    to per-config {!Icache_sim} runs (pinned by the qcheck differential
     in [test/test_sweep.ml]).
 
     Runs under a [sweep.fused] telemetry span. *)
@@ -35,22 +35,7 @@ val cfg :
 
 val run : ?next_line_prefetch:bool -> Tool.Source.t -> config array -> t array
 (** [run src configs]; result [i] corresponds to [configs.(i)].
-    [next_line_prefetch] applies to every configuration of the sweep.
-
-    A [Sampled] source simulates every config over the plan's prefix
-    while a fixed pivot cache covers the full capture; each cell is
-    extrapolated per cluster when {!Regions.Cell.gate} bounds the
-    error ({!approx}/{!mpki_ci}), otherwise the config is escalated to
-    exact tail simulation continuing from its prefix state —
-    bit-identical to the unsampled run. For extrapolated configs,
-    {!accesses}/{!usefulness} reflect the simulated prefix only. *)
-
-val approx : t -> bool
-(** [true] when this result's cells are extrapolated rather than
-    counted. *)
-
-val mpki_ci : t -> Branch_mix.scope -> float
-(** 95% confidence half-width of {!mpki} (0 for exact results). *)
+    [next_line_prefetch] applies to every configuration of the sweep. *)
 
 val insts : t -> Branch_mix.scope -> int
 val misses : t -> Branch_mix.scope -> int

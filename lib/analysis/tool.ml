@@ -17,22 +17,14 @@ module Source = struct
   type t =
     | Stream of Repro_isa.Trace.t
     | Packed of Repro_isa.Packed_trace.t
-    | Sampled of Repro_isa.Packed_trace.t * Regions.t
 
   let of_trace tr = Stream tr
   let of_packed pt = Packed pt
-
-  let of_sampled pt plan =
-    if Regions.exhaustive plan then Packed pt else Sampled (pt, plan)
 
   let iter t f =
     match t with
     | Stream tr -> Repro_isa.Trace.iter tr f
     | Packed pt -> Repro_isa.Packed_trace.replay pt f
-    | Sampled (pt, _) ->
-        (* generic consumers see the full stream: sampling only
-           accelerates the tools that understand the plan *)
-        Repro_isa.Packed_trace.replay pt f
 end
 
 let run_all_source src observers = iter_all (Source.iter src) observers

@@ -20,19 +20,9 @@ module Source : sig
   type t =
     | Stream of Repro_isa.Trace.t
     | Packed of Repro_isa.Packed_trace.t
-    | Sampled of Repro_isa.Packed_trace.t * Regions.t
-        (** a packed capture plus a representative-region sampling
-            plan; sampling-aware tools simulate the plan's prefix and
-            extrapolate or escalate per cell, everything else replays
-            the full capture *)
 
   val of_trace : Repro_isa.Trace.t -> t
   val of_packed : Repro_isa.Packed_trace.t -> t
-
-  val of_sampled : Repro_isa.Packed_trace.t -> Regions.t -> t
-  (** [Sampled], except an {!Regions.exhaustive} plan collapses to
-      plain [Packed] — the fraction-1.0 bit-identity guarantee is the
-      identity of code paths, not a property to re-prove per tool. *)
 
   val iter : t -> (Repro_isa.Inst.t -> unit) -> unit
   (** Full stream, in order, whichever form backs it. *)

@@ -1,7 +1,10 @@
 module Telemetry = Repro_util.Telemetry
 module Faults = Repro_util.Faults
 
-let version = "3"
+(* "4": figure-row artifacts became [float array] (they were
+   [(value, ci) array]), so a v3 payload must never be unmarshalled at
+   the new type. *)
+let version = "4"
 
 let magic = "REPROCACHE2\n"
 let suffix = ".bin"

@@ -92,8 +92,9 @@ let remote_enabled () = listen_spec () <> None
 (* Registration handshake identity. A worker from a different build
    (protocol rev, cache format, or workload catalogue) must be turned
    away with a typed reason at registration, not discovered later as
-   silently divergent artifacts. *)
-let proto_version = 1
+   silently divergent artifacts. Revision 2: task frames no longer
+   carry the sampling and fused-kernel toggles. *)
+let proto_version = 2
 
 let catalog_fingerprint () =
   Digest.to_hex
@@ -215,7 +216,7 @@ let bye_payload () =
   J.to_string (J.Obj [ ("op", J.Str "bye"); ("counters", J.Obj counters) ])
 
 (* Execute one task frame through the ordinary Experiment machinery.
-   The frame carries the coordinator's toggles, so a worker always
+   The frame carries the coordinator's packed toggle, so a worker always
    computes under exactly the configuration the coordinator will
    render under. Shared by the socketpair (local) and TCP (remote)
    worker loops. *)
@@ -230,14 +231,8 @@ let run_task_frame msg =
     | Some f -> f
     | None -> 1.0
   in
-  let flag k ~default =
-    match J.member k msg with Some (J.Bool b) -> b | _ -> default
-  in
-  Experiment.set_packed (flag "packed" ~default:true);
-  Experiment.set_fused (flag "fused" ~default:true);
-  (match J.member "sample" msg with
-  | Some (J.Num f) -> Experiment.set_sampled (Some f)
-  | _ -> Experiment.set_sampled None);
+  Experiment.set_packed
+    (match J.member "packed" msg with Some (J.Bool b) -> b | _ -> true);
   let task = { Experiment.t_kind = kind; t_bench = bench } in
   let ok, err =
     match Experiment.run_task ~scale task with
@@ -984,11 +979,7 @@ let journal_fingerprint ~scale id =
   String.concat "|"
     ([ "dispatch1"; Experiment.to_string id; Printf.sprintf "%h" scale;
        Cache.version;
-       (match Experiment.sample_fraction () with
-       | Some f -> Printf.sprintf "s%h" f
-       | None -> "s-");
-       (if Experiment.packed_enabled () then "p1" else "p0");
-       (if Experiment.fused_enabled () then "f1" else "f0") ]
+       (if Experiment.packed_enabled () then "p1" else "p0") ]
     @ List.map Experiment.task_id (Experiment.tasks_for id))
 
 (* ------------------------------------------------------------------ *)
@@ -1086,12 +1077,7 @@ let run_tasks ~scale ~name ~fingerprint tasks pool =
       (J.Obj
          [ ("op", J.Str "task"); ("kind", J.Str t.Experiment.t_kind);
            ("bench", J.Str t.Experiment.t_bench); ("scale", J.Num scale);
-           ("packed", J.Bool (Experiment.packed_enabled ()));
-           ("fused", J.Bool (Experiment.fused_enabled ()));
-           ( "sample",
-             match Experiment.sample_fraction () with
-             | Some f -> J.Num f
-             | None -> J.Null ) ])
+           ("packed", J.Bool (Experiment.packed_enabled ())) ])
   in
   let grant pool =
     if not (draining ()) then

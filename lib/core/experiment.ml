@@ -179,76 +179,6 @@ let packed_enabled () =
 
 let packed_cache () = env_flag "REPRO_PACKED_CACHE" ~default:false
 
-let fused_override = ref None
-let set_fused b = fused_override := Some b
-
-let fused_enabled () =
-  match !fused_override with
-  | Some b -> b
-  | None -> env_flag "REPRO_FUSED" ~default:true
-
-(* ------------------------------------------------------------------ *)
-(* Representative-region sampling (figs 5-9).
-
-   [REPRO_SAMPLE=FRAC] / [--sample FRAC] makes the trace-simulating
-   sweeps run over a {!Repro_analysis.Regions} plan instead of the
-   full capture: each benchmark's packed trace is partitioned into
-   phase-aligned regions, clustered by basic-block vector, and only a
-   contiguous representative prefix is simulated per configuration —
-   the tail is extrapolated per cluster when the statistical gate
-   bounds the error under {!Repro_analysis.Regions.default_tol}, or
-   simulated exactly otherwise. Extrapolated cells render with a "≈"
-   marker. A fraction at or above 0.995 (or at most four regions)
-   degenerates to the exact code path bit for bit. *)
-
-let warn_once = Repro_util.Env.warn_once
-
-(* Mirrors Engine's REPRO_JOBS handling: malformed values warn once
-   and fall back; out-of-range values warn once and clamp. Non-finite
-   fractions are rejected outright (sampling disabled) — a NaN
-   fraction would silently leak into every plan and cache key. *)
-let clamp_fraction ~where f =
-  if not (Float.is_finite f) then begin
-    warn_once ("sample-invalid:" ^ where)
-      (Printf.sprintf
-         "frontend-repro: ignoring non-finite %s=%g (want a fraction in \
-          [0.01, 1.0]); sampling disabled"
-         where f);
-    None
-  end
-  else begin
-    let f' =
-      if f < 0.01 || f > 1.0 then begin
-        warn_once ("sample-clamp:" ^ where)
-          (Printf.sprintf
-             "frontend-repro: clamping %s=%g to the accepted sampling range \
-              [0.01, 1.0]"
-             where f);
-        Float.max 0.01 (Float.min 1.0 f)
-      end
-      else f
-    in
-    (* at or above 0.995 the plan is exhaustive anyway: run unsampled *)
-    if f' >= 0.995 then None else Some f'
-  end
-
-let sample_override : float option option ref = ref None
-let set_sampled f = sample_override := Some f
-
-let sample_fraction () =
-  match !sample_override with
-  | Some None -> None
-  | Some (Some f) -> clamp_fraction ~where:"--sample" f
-  | None -> (
-      (* Env warns once on malformed / non-finite values and clamps
-         out-of-range ones into [0.01, 1.0]. *)
-      match
-        Repro_util.Env.float_clamped ~name:"REPRO_SAMPLE" ~min:0.01 ~max:1.0 ()
-      with
-      | None -> None
-      | Some f when f >= 0.995 -> None (* exhaustive plan: run unsampled *)
-      | Some f -> Some f)
-
 (* ------------------------------------------------------------------ *)
 (* Strict mode and degradation holes.
 
@@ -367,41 +297,12 @@ let packed_trace scale (p : W.Profile.t) =
           end);
       pt
 
-(* Sampling plans, memoized like the other measurements: per
-   (benchmark, scale, fraction) in-process and persisted through
-   {!Cache} with the fraction folded into the key kind, so sampled
-   and unsampled artifacts can never collide. *)
-let plans : (string * float * float, A.Regions.t) Hashtbl.t = Hashtbl.create 64
-
-(* Deterministic clustering seed from the profile's full content:
-   re-runs of one profile always cluster identically, and any profile
-   edit reshuffles the k-means initialization. *)
-let plan_seed (p : W.Profile.t) =
-  let d = Digest.to_hex (Digest.string (W.Profile_io.to_string p)) in
-  int_of_string ("0x" ^ String.sub d 0 8)
-
-let region_plan scale fraction (p : W.Profile.t) =
-  let key = (p.name, scale, fraction) in
-  match locked (fun () -> Hashtbl.find_opt plans key) with
-  | Some pl -> pl
-  | None ->
-      let pl =
-        Cache.memoize
-          (Cache.key ~profile:p ~scale
-             ~kind:(Printf.sprintf "plan:%h" fraction))
-          (fun () ->
-            A.Regions.plan ~fraction ~seed:(plan_seed p) (packed_trace scale p))
-      in
-      locked (fun () -> Hashtbl.replace plans key pl);
-      pl
-
 let clear_cache ?(disk = false) () =
   locked (fun () ->
       Hashtbl.reset characterizations;
       Hashtbl.reset cmp_evals;
       Hashtbl.reset cmp_evals_learned;
       Hashtbl.reset packed_traces;
-      Hashtbl.reset plans;
       packed_bytes := 0);
   if disk then Cache.clear ()
 
@@ -417,18 +318,6 @@ let source scale (p : W.Profile.t) =
   if packed_enabled () then A.Tool.Source.of_packed (packed_trace scale p)
   else
     A.Tool.Source.of_trace (W.Executor.trace (W.Executor.create ~insts p))
-
-(* Source for the sweep simulations of figs 5-9: with sampling active
-   (and a packed capture to sample from), the capture is wrapped in
-   its representative-region plan; an exhaustive plan collapses to
-   the plain packed source inside [of_sampled]. *)
-let sampled_source scale (p : W.Profile.t) =
-  match sample_fraction () with
-  | Some f when packed_enabled () ->
-      let insts = scaled_insts p scale in
-      note_sim_insts insts;
-      A.Tool.Source.of_sampled (packed_trace scale p) (region_plan scale f p)
-  | _ -> source scale p
 
 let serial = A.Branch_mix.Only Repro_isa.Section.Serial
 let parallel = A.Branch_mix.Only Repro_isa.Section.Parallel
@@ -529,8 +418,8 @@ let sweep_map ~jobs ~where profiles nconfigs run_range =
 (* Persistent figure rows.
 
    The trace-simulating figures (5-9) aggregate one row per
-   benchmark: the full (value, confidence-interval) vector across the
-   figure's configuration axis. Those rows are the unit of work the
+   benchmark: the full value vector across the figure's configuration
+   axis. Those rows are the unit of work the
    dispatch layer shards across worker processes, so they are
    memoized through the persistent {!Cache} — a worker computes and
    stores a row, the coordinator's rendering pass reads it back and
@@ -550,13 +439,8 @@ let row_tag base parts =
   base ^ ":"
   ^ String.sub (Digest.to_hex (Digest.string (String.concat "," parts))) 0 8
 
-let row_kind tag =
-  match sample_fraction () with
-  | Some f -> Printf.sprintf "row.%s:s%h" tag f
-  | None -> "row." ^ tag
-
 let row_key ~tag ~scale (p : W.Profile.t) =
-  Cache.key ~profile:p ~scale ~kind:(row_kind tag)
+  Cache.key ~profile:p ~scale ~kind:("row." ^ tag)
 
 (* [rows_cached ~tag ~scale profiles compute] returns what [compute
    profiles] would, but serves benchmarks whose row is already in the
@@ -604,19 +488,13 @@ let rows_cached ~tag ~scale profiles compute =
       probed
   end
 
-(* Cell marker for a value containing a sampled extrapolation: "≈"
-   flags that the number is a statistical estimate with a bounded
-   confidence interval rather than an exact count. *)
-let approx_mark = "\xE2\x89\x88" (* UTF-8 "≈" *)
-let mark_approx is s = if is then approx_mark ^ s else s
-
-(* Mean of column [i] across per-benchmark (value, ci) rows, skipping
-   benchmarks where the metric is undefined. *)
+(* Mean of column [i] across per-benchmark rows, skipping benchmarks
+   where the metric is undefined. *)
 let mean_at per_bench i =
   let values =
     List.filter_map
       (fun row ->
-        let v, _ = row.(i) in
+        let v = row.(i) in
         if Float.is_nan v then None else Some v)
       per_bench
   in
@@ -625,17 +503,13 @@ let mean_at per_bench i =
 (* Render a supervised per-benchmark result set as [n] aggregate
    cells. Only a complete set aggregates: if any member benchmark
    failed, every cell is a hole — silently averaging the survivors
-   would present wrong data with nothing to flag it. A cell whose
-   mean contains any extrapolated contribution (a member benchmark
-   reported a nonzero confidence interval) is marked "≈". *)
+   would present wrong data with nothing to flag it. *)
 let mean_cells ?(fmt = Table.fmt_float ~decimals:2) per_bench n =
   let oks = List.filter_map Result.to_option per_bench in
   if List.length oks <> List.length per_bench then
     List.init n (fun _ -> hole_cell)
   else
-    List.init n (fun i ->
-        let anyci = List.exists (fun row -> snd row.(i) > 0.0) oks in
-        mark_approx anyci (fmt (mean_at oks i)))
+    List.init n (fun i -> fmt (mean_at oks i))
 
 let suite_results scale suite =
   List.map (characterize scale) (W.Suites.by_suite suite)
@@ -865,26 +739,13 @@ let fig5_tag = row_tag "fig5" F.Zoo.all_names
 
 let fig5_rows ~jobs ~where scale profiles =
   let names = Array.of_list F.Zoo.all_names in
-  if fused_enabled () then
-    sweep_map ~jobs ~where profiles (Array.length names) (fun p lo hi ->
-        let specs =
-          Array.init (hi - lo) (fun i -> A.Bp_sweep.of_name names.(lo + i))
-        in
-        Array.map
-          (fun r -> (A.Bp_sweep.mpki r total, A.Bp_sweep.mpki_ci r total))
-          (A.Bp_sweep.run (sampled_source scale p) specs))
-  else
-    bench_map ~jobs ~where
-      (fun (p : W.Profile.t) -> p.name)
-      (fun (p : W.Profile.t) ->
-        let sims =
-          List.map
-            (fun n -> A.Bp_sim.create (F.Zoo.by_name n))
-            F.Zoo.all_names
-        in
-        A.Bp_sim.run_all (sampled_source scale p) sims;
-        Array.of_list (List.map (fun s -> (A.Bp_sim.mpki s total, 0.0)) sims))
-      profiles
+  sweep_map ~jobs ~where profiles (Array.length names) (fun p lo hi ->
+      let specs =
+        Array.init (hi - lo) (fun i -> A.Bp_sweep.of_name names.(lo + i))
+      in
+      Array.map
+        (fun r -> A.Bp_sweep.mpki r total)
+        (A.Bp_sweep.run (source scale p) specs))
 
 let fig5_suite_mpki ~jobs scale suite =
   let profiles = W.Suites.by_suite suite in
@@ -932,31 +793,13 @@ let fig6_rows ~jobs scale profiles =
   bench_map ~jobs ~where:"fig6"
     (fun (p : W.Profile.t) -> p.name)
     (fun (p : W.Profile.t) ->
-      let cells =
-        if fused_enabled () then
-          let specs = Array.of_list (List.map A.Bp_sweep.of_name configs) in
-          A.Bp_sweep.run (sampled_source scale p) specs
-          |> Array.to_list
-          |> List.concat_map (fun r ->
-                 List.map
-                   (fun cause ->
-                     mark_approx (A.Bp_sweep.approx r)
-                       (f2 (A.Bp_sweep.mpki_by_cause r total cause)))
-                   A.Bp_sim.causes)
-        else begin
-          let sims =
-            List.map (fun n -> A.Bp_sim.create (F.Zoo.by_name n)) configs
-          in
-          A.Bp_sim.run_all (sampled_source scale p) sims;
-          List.concat_map
-            (fun sim ->
-              List.map
-                (fun cause -> f2 (A.Bp_sim.mpki_by_cause sim total cause))
-                A.Bp_sim.causes)
-            sims
-        end
-      in
-      cells)
+      let specs = Array.of_list (List.map A.Bp_sweep.of_name configs) in
+      A.Bp_sweep.run (source scale p) specs
+      |> Array.to_list
+      |> List.concat_map (fun r ->
+             List.map
+               (fun cause -> f2 (A.Bp_sweep.mpki_by_cause r total cause))
+               A.Bp_sim.causes))
     profiles
 
 let fig6 ~jobs scale =
@@ -1001,24 +844,10 @@ let fig7_tag =
 
 let fig7_rows ~jobs ~where scale profiles =
   let configs = Array.of_list btb_configs in
-  if fused_enabled () then
-    sweep_map ~jobs ~where profiles (Array.length configs) (fun p lo hi ->
-        Array.map
-          (fun r -> (A.Btb_sweep.mpki r total, A.Btb_sweep.mpki_ci r total))
-          (A.Btb_sweep.run (sampled_source scale p)
-             (Array.sub configs lo (hi - lo))))
-  else
-    bench_map ~jobs ~where
-      (fun (p : W.Profile.t) -> p.name)
-      (fun (p : W.Profile.t) ->
-        let sims =
-          List.map
-            (fun (e, a) -> A.Btb_sim.create ~entries:e ~assoc:a)
-            btb_configs
-        in
-        A.Btb_sim.run_all (sampled_source scale p) sims;
-        Array.of_list (List.map (fun s -> (A.Btb_sim.mpki s total, 0.0)) sims))
-      profiles
+  sweep_map ~jobs ~where profiles (Array.length configs) (fun p lo hi ->
+      Array.map
+        (fun r -> A.Btb_sweep.mpki r total)
+        (A.Btb_sweep.run (source scale p) (Array.sub configs lo (hi - lo))))
 
 let fig7 ~jobs scale =
   let t =
@@ -1053,28 +882,10 @@ let icache_cfg_sig (c : A.Icache_sweep.config) =
 
 let icache_rows ~jobs ~where ~configs scale profiles =
   let carr = Array.of_list configs in
-  if fused_enabled () then
-    sweep_map ~jobs ~where profiles (Array.length carr) (fun p lo hi ->
-        Array.map
-          (fun r ->
-            (A.Icache_sweep.mpki r total, A.Icache_sweep.mpki_ci r total))
-          (A.Icache_sweep.run (sampled_source scale p)
-             (Array.sub carr lo (hi - lo))))
-  else
-    bench_map ~jobs ~where
-      (fun (p : W.Profile.t) -> p.name)
-      (fun (p : W.Profile.t) ->
-        let sims =
-          List.map
-            (fun (c : A.Icache_sweep.config) ->
-              A.Icache_sim.create ~policy:c.policy ~size_bytes:c.size_bytes
-                ~line_bytes:c.line_bytes ~assoc:c.assoc ())
-            configs
-        in
-        A.Icache_sim.run_all (sampled_source scale p) sims;
-        Array.of_list
-          (List.map (fun s -> (A.Icache_sim.mpki s total, 0.0)) sims))
-      profiles
+  sweep_map ~jobs ~where profiles (Array.length carr) (fun p lo hi ->
+      Array.map
+        (fun r -> A.Icache_sweep.mpki r total)
+        (A.Icache_sweep.run (source scale p) (Array.sub carr lo (hi - lo))))
 
 let icache_table ~jobs ~tag ~where:where_root ~title ~configs ~benchmarks scale
     per_suite =
@@ -1110,12 +921,7 @@ let icache_table ~jobs ~tag ~where:where_root ~title ~configs ~benchmarks scale
       (fun name row ->
         match row with
         | Ok arr ->
-            Table.add_row t
-              (name
-              :: Array.to_list
-                   (Array.map
-                      (fun (v, ci) -> mark_approx (ci > 0.0) (f2 v))
-                      arr))
+            Table.add_row t (name :: Array.to_list (Array.map f2 arr))
         | Error () ->
             Table.add_row t
               (name :: List.map (fun _ -> hole_cell) configs))
@@ -1151,8 +957,7 @@ let fig9_cfgs =
 let fig9_tag = row_tag "fig9" (List.map icache_cfg_sig fig9_cfgs)
 
 (* Fig 9's companion metric: 128B-line usefulness on one fixed
-   geometry, over the unsampled source (it reads line-lifetime state
-   the sampled extrapolation does not model). *)
+   geometry. *)
 let fig9u_tag = row_tag "fig9u" [ "16384/128/8" ]
 
 let fig9u_rows ~jobs ~where scale profiles =
@@ -1561,28 +1366,6 @@ let degraded_table holes =
     holes;
   t
 
-(* Appendix rendered after a sampled run: one row per benchmark whose
-   sweep ran over a representative-region plan at this (scale,
-   fraction), so every "≈" in the tables above is traceable to the
-   plan that produced it. *)
-let sampled_table scale fraction =
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf "Sampled run (fraction %g): region plans" fraction)
-      [ ("benchmark", Table.Left); ("plan", Table.Left) ]
-  in
-  locked (fun () ->
-      Hashtbl.fold
-        (fun (name, sc, fr) pl acc ->
-          if sc = scale && fr = fraction then
-            (name, A.Regions.describe pl) :: acc
-          else acc)
-        plans [])
-  |> List.sort compare
-  |> List.iter (fun (name, d) -> Table.add_row t [ name; d ]);
-  t
-
 let run ?(scale = 1.0) ?jobs id =
   let jobs =
     match jobs with Some j -> j | None -> Engine.default_jobs ()
@@ -1608,13 +1391,6 @@ let run ?(scale = 1.0) ?jobs id =
     | Fig10 -> fig10 scale
     | Fig10p -> fig10p scale
     | Fig11 -> fig11 scale)
-  in
-  let tables =
-    match sample_fraction () with
-    | Some f ->
-        let st = sampled_table scale f in
-        if Table.rows st = [] then tables else tables @ [ st ]
-    | None -> tables
   in
   match holes () with
   | [] -> tables

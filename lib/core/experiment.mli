@@ -89,40 +89,6 @@ val set_packed : bool -> unit
 
 val packed_enabled : unit -> bool
 
-val set_fused : bool -> unit
-(** Enable or disable the fused sweep kernels
-    ({!Repro_analysis.Bp_sweep}, {!Repro_analysis.Btb_sweep},
-    {!Repro_analysis.Icache_sweep}) for the configuration sweeps of
-    figs 5-9. When enabled (the default unless [REPRO_FUSED=0]),
-    every hardware configuration of a sweep is simulated in one pass
-    over each benchmark's stream, with stream-derived state (history
-    register, line spans, set/tag splits) computed once and shared;
-    when there are more Engine domains than benchmarks, the
-    configuration axis is additionally sharded across domains.
-    Results are bit-identical either way. *)
-
-val fused_enabled : unit -> bool
-
-val set_sampled : float option -> unit
-(** Set (or clear, with [None]) representative-region sampling for
-    the trace-simulating sweeps of figs 5-9, overriding
-    [REPRO_SAMPLE]. The fraction is the target share of packed-trace
-    regions simulated exactly; out-of-range values warn once and
-    clamp to [0.01, 1.0], and fractions at or above 0.995 run
-    unsampled. Each benchmark's capture is partitioned into
-    phase-aligned regions, clustered by basic-block vector
-    ({!Repro_analysis.Regions}), and only a representative prefix is
-    simulated per configuration; the tail is extrapolated per cluster
-    when the statistical gate bounds the error (cells render with a
-    "≈" marker and figure means carry confidence intervals), or
-    simulated exactly otherwise. Requires packed capture; with
-    [REPRO_PACKED=0] sampling is ignored. *)
-
-val sample_fraction : unit -> float option
-(** Effective sampling fraction after override/env parsing and
-    clamping; [None] when sampling is off (including fractions that
-    clamp to the unsampled regime). *)
-
 (** {1 Task decomposition}
 
     The unit of work the {!Dispatch} layer shards across worker
@@ -150,8 +116,8 @@ val tasks_for : id -> task list
     tables ([Tab2], [Tab3]). *)
 
 val run_task : scale:float -> task -> bool
-(** Execute one task under the current process-wide toggles
-    (packed/fused/sampling), storing its artifact in the {!Cache}.
+(** Execute one task under the current process-wide packed toggle,
+    storing its artifact in the {!Cache}.
     Returns [false] for an unknown kind/tag or benchmark (a
     version-skewed coordinator), [true] otherwise — including tasks
     whose measurement degraded to a hole, which simply store nothing

@@ -30,10 +30,10 @@ let clamp_jobs j = if j < 1 then 1 else if j > 64 then 64 else j
 let current_config () =
   { scale = Env.float_positive ~name:"REPRO_SCALE" ~default:1.0 ();
     jobs = Engine.default_jobs ();
-    sample = Experiment.sample_fraction ();
+    sample = None;
     faults = Faults.spec ();
     packed = Experiment.packed_enabled ();
-    fused = Experiment.fused_enabled () }
+    fused = true }
 
 let env_config () =
   let scale = Env.float_positive ~name:"REPRO_SCALE" ~default:1.0 () in
@@ -42,38 +42,47 @@ let env_config () =
     | Some j -> j
     | None -> Engine.default_jobs ()
   in
-  let sample =
-    match Env.float_clamped ~name:"REPRO_SAMPLE" ~min:0.01 ~max:1.0 () with
-    | Some f when f < 0.995 -> Some f
-    | Some _ | None -> None
-  in
   let faults =
     match Sys.getenv_opt "REPRO_FAULTS" with
     | None | Some "" -> None
     | Some s -> Some s
   in
-  { scale; jobs; sample; faults;
+  { scale; jobs; sample = None; faults;
     packed = Env.flag ~name:"REPRO_PACKED" ~default:true;
-    fused = Env.flag ~name:"REPRO_FUSED" ~default:true }
+    fused = true }
+
+(* [sample] and [fused] name execution paths that no longer exist:
+   every sweep is exact and fused. The fields stay so existing callers
+   keep compiling, but a configuration asking for either removed path
+   is refused by name, never silently run on the exact path. *)
+let removed_feature cfg =
+  if cfg.sample <> None then
+    Some "sample: representative-region sampling was removed; sweeps are \
+          always exact"
+  else if not cfg.fused then
+    Some "fused=false: the unfused per-config sweep path was removed; \
+          sweeps always run the fused kernels"
+  else None
+
+let check_config ~where cfg =
+  match removed_feature cfg with
+  | Some msg -> invalid_arg (where ^ ": " ^ msg)
+  | None -> ()
 
 (* Push a configuration into the process-wide toggles. Called only
    from inside the reload critical section (or before any worker is
    spawned), so no request can observe a half-applied set. *)
 let apply_config cfg =
   Engine.set_default_jobs cfg.jobs;
-  Experiment.set_sampled cfg.sample;
   Experiment.set_packed cfg.packed;
-  Experiment.set_fused cfg.fused;
   Faults.configure cfg.faults
 
 let config_json cfg =
   Json.Obj
     [ ("scale", Json.Num cfg.scale);
       ("jobs", Json.Num (float_of_int cfg.jobs));
-      ("sample", (match cfg.sample with Some f -> Json.Num f | None -> Json.Null));
       ("faults", (match cfg.faults with Some s -> Json.Str s | None -> Json.Null));
-      ("packed", Json.Bool cfg.packed);
-      ("fused", Json.Bool cfg.fused) ]
+      ("packed", Json.Bool cfg.packed) ]
 
 (* ------------------------------------------------------------------ *)
 (* Server state                                                       *)
@@ -164,6 +173,7 @@ let gated t f =
   (gen, result)
 
 let reload t cfg =
+  check_config ~where:"Server.reload" cfg;
   let accepted = Telemetry.now_ns () in
   Mutex.lock t.lock;
   while t.reloading do
@@ -261,13 +271,9 @@ let parse_reload base req =
   in
   let* cfg =
     match Json.member "sample" req with
-    | None -> Ok cfg
-    | Some Json.Null -> Ok { cfg with sample = None }
-    | Some (Json.Num f) ->
-        if Float.is_finite f && f > 0.0 && f <= 1.0 then
-          Ok { cfg with sample = Some f }
-        else Error "sample must be in (0, 1] or null"
-    | Some _ -> Error "sample must be a number or null"
+    | None | Some Json.Null -> Ok cfg
+    | Some (Json.Num f) -> Ok { cfg with sample = Some f }
+    | Some _ -> Error "sample must be null"
   in
   let* cfg =
     match Json.member "faults" req with
@@ -278,7 +284,7 @@ let parse_reload base req =
   in
   let* cfg = boolean "packed" (fun b acc -> { acc with packed = b }) cfg in
   let* cfg = boolean "fused" (fun b acc -> { acc with fused = b }) cfg in
-  Ok cfg
+  match removed_feature cfg with Some msg -> Error msg | None -> Ok cfg
 
 type action = Continue | Shutdown
 
@@ -478,6 +484,10 @@ let start ?config ?socket ?tcp ?(workers = 4) () =
   (* A client that vanishes between our read and our write must be an
      EPIPE on that connection, never a process-wide SIGPIPE kill. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
+  let cfg =
+    match config with Some c -> { c with jobs = clamp_jobs c.jobs } | None -> current_config ()
+  in
+  check_config ~where:"Server.start" cfg;
   let socket =
     match (socket, tcp) with None, None -> Some "_serve.sock" | _ -> socket
   in
@@ -485,9 +495,6 @@ let start ?config ?socket ?tcp ?(workers = 4) () =
   let tcp_l = Option.map listen_tcp tcp in
   let listeners =
     List.filter_map Fun.id [ unix_l; Option.map fst tcp_l ]
-  in
-  let cfg =
-    match config with Some c -> { c with jobs = clamp_jobs c.jobs } | None -> current_config ()
   in
   apply_config cfg;
   let n_workers = max 1 (min 16 workers) in

@@ -32,8 +32,8 @@
     {2 Zero-downtime reload}
 
     A [reload] request — or, in the CLI wrapper, [SIGHUP] — swaps the
-    active configuration (scale, jobs, sampling fraction, fault spec,
-    packed/fused toggles) atomically with respect to request
+    active configuration (scale, jobs, fault spec, packed toggle)
+    atomically with respect to request
     dispatch: the reloader waits for in-flight requests to drain
     (new arrivals park at the gate), applies the new configuration to
     the process-wide toggles, bumps the {e generation} counter, and
@@ -55,11 +55,18 @@ module Frame = Frame
 type config = {
   scale : float;  (** instruction-budget multiplier for every run *)
   jobs : int;  (** {!Engine} pool size per request (clamped 1..64) *)
-  sample : float option;  (** {!Experiment.set_sampled} fraction *)
+  sample : float option;
+      (** must be [None]: representative-region sampling was removed *)
   faults : string option;  (** {!Repro_util.Faults.configure} spec *)
   packed : bool;  (** packed-trace capture ({!Experiment.set_packed}) *)
-  fused : bool;  (** fused sweep kernels ({!Experiment.set_fused}) *)
+  fused : bool;
+      (** must be [true]: the unfused sweep path was removed *)
 }
+(** [sample] and [fused] survive only so that callers building the
+    record literally keep compiling. {!start} and {!reload} raise
+    [Invalid_argument] naming the removed feature when [sample] is
+    [Some _] or [fused] is [false]; a [reload] request carrying
+    either is answered [ok:false]. *)
 
 val current_config : unit -> config
 (** Snapshot of the process-wide toggles as they are now — what a
@@ -69,8 +76,8 @@ val current_config : unit -> config
 
 val env_config : unit -> config
 (** Rebuild the configuration from the current environment
-    ([REPRO_SCALE], [REPRO_JOBS], [REPRO_SAMPLE], [REPRO_FAULTS],
-    [REPRO_PACKED], [REPRO_FUSED]), through the audited
+    ([REPRO_SCALE], [REPRO_JOBS], [REPRO_FAULTS], [REPRO_PACKED]),
+    through the audited
     {!Repro_util.Env} readers. This is the [SIGHUP] reload source. *)
 
 (** {1 Lifecycle} *)
@@ -93,14 +100,18 @@ val start :
     dying client must be an [EPIPE] on its own connection, never a
     process kill. Each worker serves one connection at a time, so
     [workers] bounds concurrently served clients; further connections
-    queue in the listen backlog. *)
+    queue in the listen backlog. Raises [Invalid_argument], before
+    binding anything, for a [config] naming a removed feature (see
+    {!config}). *)
 
 val sock_path : t -> string option
 val tcp_port : t -> int option
 
 val reload : t -> config -> int
 (** Quiesce in-flight requests, apply the configuration, bump and
-    return the generation. Serialized with concurrent reloads. *)
+    return the generation. Serialized with concurrent reloads. Raises
+    [Invalid_argument] for a configuration naming a removed feature
+    (see {!config}). *)
 
 val config : t -> config
 val generation : t -> int

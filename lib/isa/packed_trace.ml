@@ -198,71 +198,4 @@ let replay_index index t f =
 let replay_conditionals t f = replay_index (fun c -> c.conds) t f
 let replay_redirects t f = replay_index (fun c -> c.redirects) t f
 
-(* ------------------------------------------------------------------ *)
-(* Range-bounded replay over absolute instruction positions, the
-   primitive the representative-region sampling paths are built on.
-   Chunk base positions are a prefix sum over chunk lengths; inside a
-   chunk the side indexes are sorted, so the first in-range entry is a
-   binary lower bound. *)
-
-let chunk_bases t =
-  let n = Array.length t.chunks in
-  let bases = Array.make n 0 in
-  for i = 1 to n - 1 do
-    bases.(i) <- bases.(i - 1) + t.chunks.(i - 1).len
-  done;
-  bases
-
-(* Smallest index in sorted [a] with [a.(i) >= v]; [length a] if none. *)
-let lower_bound a v =
-  let lo = ref 0 and hi = ref (Array.length a) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if a.(mid) < v then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-let replay_range t ~lo ~hi f =
-  if lo < hi then
-    Telemetry.with_span "trace.replay" (fun () ->
-        let inst = Inst.make ~addr:0 ~size:1 () in
-        let bases = chunk_bases t in
-        Array.iteri
-          (fun ci c ->
-            let base = bases.(ci) in
-            if base < hi && base + c.len > lo then begin
-              let first = Stdlib.max 0 (lo - base) in
-              let last = Stdlib.min c.len (hi - base) - 1 in
-              for i = first to last do
-                decode c i inst;
-                f inst
-              done
-            end)
-          t.chunks)
-
-let replay_index_range index t ~lo ~hi f =
-  if lo < hi then
-    Telemetry.with_span "trace.replay" (fun () ->
-        let inst = Inst.make ~addr:0 ~size:1 () in
-        let bases = chunk_bases t in
-        Array.iteri
-          (fun ci c ->
-            let base = bases.(ci) in
-            if base < hi && base + c.len > lo then begin
-              let idx = index c in
-              let first = lower_bound idx (lo - base) in
-              let stop = lower_bound idx (hi - base) in
-              for i = first to stop - 1 do
-                decode c (Array.unsafe_get idx i) inst;
-                f inst
-              done
-            end)
-          t.chunks)
-
-let replay_conditionals_range t ~lo ~hi f =
-  replay_index_range (fun c -> c.conds) t ~lo ~hi f
-
-let replay_redirects_range t ~lo ~hi f =
-  replay_index_range (fun c -> c.redirects) t ~lo ~hi f
-
 let to_trace t = Trace.make (fun f -> replay t f)

@@ -69,21 +69,5 @@ val replay_redirects : t -> (Inst.t -> unit) -> unit
 (** Replay only taken branches excluding syscalls and returns
     (warmup ones included), in order — everything a BTB observes. *)
 
-val replay_range : t -> lo:int -> hi:int -> (Inst.t -> unit) -> unit
-(** Replay only instructions at absolute positions [lo..hi-1], in
-    order — the primitive representative-region sampling uses to
-    drive a simulator over one region of the capture. Empty when
-    [lo >= hi]. *)
-
-val replay_conditionals_range :
-  t -> lo:int -> hi:int -> (Inst.t -> unit) -> unit
-(** {!replay_conditionals} restricted to positions [lo..hi-1]; the
-    per-chunk side index is binary-searched, so cost is proportional
-    to the conditionals inside the range, not the range length. *)
-
-val replay_redirects_range :
-  t -> lo:int -> hi:int -> (Inst.t -> unit) -> unit
-(** {!replay_redirects} restricted to positions [lo..hi-1]. *)
-
 val to_trace : t -> Trace.t
 (** The replay as an ordinary re-runnable {!Trace.t}. *)

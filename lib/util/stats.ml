@@ -144,40 +144,6 @@ module Histogram = struct
     !acc
 end
 
-(* Delete-one jackknife over the per-stratum totals of a ratio
-   R = sum num / sum den. The jackknife standard error is the
-   textbook-correct way to attach a dispersion to a ratio of sums
-   (a plain per-stratum ratio variance would ignore the unequal
-   stratum sizes). *)
-let jackknife_ratio ~num ~den =
-  let n = Array.length num in
-  if n <> Array.length den then
-    invalid_arg "Stats.jackknife_ratio: length mismatch";
-  let snum = Array.fold_left ( +. ) 0.0 num in
-  let sden = Array.fold_left ( +. ) 0.0 den in
-  if sden <= 0.0 then None
-  else begin
-    let ratio = snum /. sden in
-    if n < 2 then Some (ratio, infinity)
-    else begin
-      (* leave-one-out replicates; a replicate with an empty
-         denominator contributes the full-sample ratio (no signal) *)
-      let reps =
-        Array.init n (fun i ->
-            let d = sden -. den.(i) in
-            if d <= 0.0 then ratio else (snum -. num.(i)) /. d)
-      in
-      let rbar = Array.fold_left ( +. ) 0.0 reps /. float_of_int n in
-      let ss =
-        Array.fold_left (fun a r -> a +. ((r -. rbar) ** 2.0)) 0.0 reps
-      in
-      let se =
-        sqrt (float_of_int (n - 1) /. float_of_int n *. ss)
-      in
-      Some (ratio, 1.96 *. se)
-    end
-  end
-
 let bytes_for_coverage cells ~coverage =
   assert (coverage >= 0.0 && coverage <= 1.0);
   let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 cells in

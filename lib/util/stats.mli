@@ -73,18 +73,6 @@ module Histogram : sig
   (** Total weight strictly below a threshold (by bin lower bound). *)
 end
 
-(** {1 Ratio estimation} *)
-
-val jackknife_ratio :
-  num:float array -> den:float array -> (float * float) option
-(** [jackknife_ratio ~num ~den] estimates [R = sum num /. sum den]
-    from per-stratum totals and attaches a 95% confidence half-width
-    from the delete-one jackknife. [None] when the denominator total
-    is not positive; half-width [infinity] with fewer than two
-    strata. Used by the representative-region sampling estimator to
-    decide whether a config-to-pivot miss ratio is stable enough to
-    extrapolate from. *)
-
 (** {1 Cumulative footprints} *)
 
 val bytes_for_coverage : (int * float) list -> coverage:float -> int

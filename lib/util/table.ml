@@ -21,9 +21,9 @@ let add_row t cells =
 
 let add_separator t = t.rows <- Separator :: t.rows
 
-(* Cell widths count display characters, not bytes: annotation
-   markers like the sampling "≈" are multi-byte UTF-8 sequences, and
-   byte-based padding would misalign every column after them. ASCII
+(* Cell widths count display characters, not bytes: a cell holding a
+   multi-byte UTF-8 sequence would otherwise misalign every column
+   after it. ASCII
    cells are unaffected (the two lengths agree). *)
 let display_length s =
   let n = ref 0 in

@@ -18,8 +18,7 @@ let protected f =
       Faults.configure None;
       C.Engine.set_retries 2;
       C.Engine.set_timeout_ms None;
-      C.Experiment.set_strict false;
-      C.Experiment.set_sampled None)
+      C.Experiment.set_strict false)
     f
 
 let with_temp_cache f =
@@ -603,33 +602,6 @@ let test_e2e_faulted_fig8p_identical () =
       Alcotest.(check (list (pair string reject))) "no holes" []
         (C.Experiment.holes ()))
 
-let test_e2e_sampled_faulted_run_identical () =
-  protected (fun () ->
-      (* Same torture, with representative-region sampling on: region
-         planning, gating and per-configuration escalation must all be
-         deterministic under retried faults (including torn journal
-         appends), not just the exhaustive code path. *)
-      Faults.configure None;
-      C.Experiment.set_sampled (Some 0.25);
-      let clean = run_text C.Experiment.Fig7 in
-      let has sub =
-        let n = String.length sub in
-        let rec go i =
-          i + n <= String.length clean
-          && (String.equal (String.sub clean i n) sub || go (i + 1))
-        in
-        go 0
-      in
-      Alcotest.(check bool) "sampling actually engaged" true
-        (has "Sampled run (fraction");
-      Faults.configure (Some "all:0.1:42");
-      C.Engine.set_retries 8;
-      let faulted = run_text C.Experiment.Fig7 in
-      Alcotest.(check string) "sampled fig7 bit-identical under 10% faults"
-        clean faulted;
-      Alcotest.(check (list (pair string reject))) "no holes" []
-        (C.Experiment.holes ()))
-
 let test_e2e_every_site_saturated_fig4 () =
   protected (fun () ->
       Faults.configure None;
@@ -734,8 +706,6 @@ let () =
             test_e2e_faulted_run_identical;
           Alcotest.test_case "faulted fig8p bit-identical" `Slow
             test_e2e_faulted_fig8p_identical;
-          Alcotest.test_case "sampled faulted run bit-identical" `Slow
-            test_e2e_sampled_faulted_run_identical;
           Alcotest.test_case "100% fault rate, fig4 identical" `Slow
             test_e2e_every_site_saturated_fig4;
           Alcotest.test_case "degradation marks holes" `Slow

@@ -6,13 +6,7 @@
    intentional model change with:
 
      dune exec bin/repro_cli.exe -- experiment ID --scale 0.05 \
-       > test/golden/ID.expected
-
-   The sampled expect-file (fig8 under representative-region sampling,
-   "≈" markers and the region-plan appendix included) regenerates with:
-
-     dune exec bin/repro_cli.exe -- experiment fig8 --scale 0.05 \
-       --sample 0.25 --no-cache > test/golden/fig8.sampled25.expected *)
+       > test/golden/ID.expected *)
 
 module C = Repro_core
 
@@ -60,32 +54,6 @@ let check_all_paths id () =
           Alcotest.(check int) "no cache traffic" 0 served
       | _ -> Alcotest.(check bool) "warm run served from disk" true (served > 0))
 
-(* Sampled rendering is pinned too: fraction 0.25 exercises the gated
-   extrapolation path end to end — "≈" cell markers, suite-mean
-   confidence intervals and the region-plan appendix — and must render
-   identically sequential and parallel. *)
-let check_sampled id () =
-  let expect =
-    let path =
-      Filename.concat "golden"
-        (C.Experiment.to_string id ^ ".sampled25.expected")
-    in
-    In_channel.with_open_bin path In_channel.input_all
-  in
-  C.Experiment.set_sampled (Some 0.25);
-  Fun.protect
-    ~finally:(fun () -> C.Experiment.set_sampled None)
-    (fun () ->
-      let run ~jobs =
-        C.Experiment.clear_cache ();
-        C.Report.run_to_string ~scale ~jobs id
-      in
-      C.Cache.set_enabled false;
-      Alcotest.(check string) "sequential, uncached" expect (run ~jobs:1);
-      Alcotest.(check string) "parallel, uncached" expect (run ~jobs:4);
-      Alcotest.(check bool) "differs from the unsampled expect-file" true
-        (not (String.equal expect (golden id))))
-
 let () =
   Alcotest.run "golden"
     [ ("expect",
@@ -95,7 +63,4 @@ let () =
              (check_all_paths id))
          C.Experiment.
            [ Fig1; Tab1; Fig5; Fig6; Fig8; Fig8p; Fig9; Tab2; Tab3; Fig10;
-             Fig10p ]);
-      ("sampled",
-       [ Alcotest.test_case "fig8 @ 0.25" `Slow
-           (check_sampled C.Experiment.Fig8) ]) ]
+             Fig10p ]) ]

@@ -32,9 +32,7 @@ let with_server ?(workers = 4) f =
       (try Sys.rmdir cache_dir with Sys_error _ -> ());
       C.Cache.set_dir was_dir;
       C.Cache.set_enabled was_enabled;
-      C.Experiment.set_sampled None;
       C.Experiment.set_packed true;
-      C.Experiment.set_fused true;
       Repro_util.Faults.configure None)
     (fun () -> f (t, sock))
 
@@ -228,6 +226,21 @@ let test_reload_semantics () =
           Alcotest.(check bool) "bad reload rejected" true
             (field "ok" bad = J.Bool false);
           Alcotest.(check int) "generation unchanged" 0 (S.generation t);
+          (* sampling and the unfused path are gone: asking for either
+             is refused by name, never applied as a silent no-op *)
+          List.iter
+            (fun (name, v) ->
+              let r = request conn (J.Obj [ ("op", J.Str "reload"); (name, v) ]) in
+              Alcotest.(check bool) (name ^ " reload rejected") true
+                (field "ok" r = J.Bool false);
+              (match field "error" r with
+              | J.Str e ->
+                  Alcotest.(check bool) (name ^ ": error names the field") true
+                    (String.starts_with ~prefix:("reload: " ^ name) e)
+              | _ -> Alcotest.fail "error is not a string");
+              Alcotest.(check int) (name ^ ": generation unchanged") 0
+                (S.generation t))
+            [ ("sample", J.Num 0.25); ("fused", J.Bool false) ];
           (* a good reload bumps the generation and echoes the config *)
           let r =
             request conn
@@ -249,6 +262,20 @@ let test_reload_semantics () =
           match field "reloads" st with
           | J.Num v -> Alcotest.(check (float 0.0)) "one reload" 1.0 v
           | _ -> Alcotest.fail "reloads is not a number"))
+
+(* [start] refuses the removed features before binding anything. *)
+let test_start_rejects_removed () =
+  List.iter
+    (fun (what, config) ->
+      match S.start ~config ~socket:"_server_test_rejected.sock" () with
+      | t ->
+          S.stop t;
+          Alcotest.failf "start accepted %s" what
+      | exception Invalid_argument _ ->
+          Alcotest.(check bool) (what ^ ": nothing bound") false
+            (Sys.file_exists "_server_test_rejected.sock"))
+    [ ("sample", { (S.current_config ()) with S.sample = Some 0.25 });
+      ("fused=false", { (S.current_config ()) with S.fused = false }) ]
 
 (* The property the quiesce gate exists for: under a storm of
    concurrent reloads, every request still gets exactly one response,
@@ -308,4 +335,6 @@ let () =
       ("reload",
        Alcotest.test_case "semantics and update lag" `Quick
          test_reload_semantics
+       :: Alcotest.test_case "start rejects removed features" `Quick
+            test_start_rejects_removed
        :: qcheck [ qcheck_reload_never_loses_responses ]) ]
