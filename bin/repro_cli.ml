@@ -227,9 +227,8 @@ let characterize_cmd =
               (100.0 *. Branch_mix.branch_fraction c.mix total)
               (100.0 *. Branch_bias.biased_fraction c.bias total)
               (100.0 *. Branch_bias.backward_taken_fraction c.bias total)
-              (Repro_util.Units.pp_bytes (Footprint.static_bytes c.footprint total))
-              (Repro_util.Units.pp_bytes
-                 (Footprint.dynamic_bytes c.footprint total ~coverage:0.99))
+              (Repro_util.Units.pp_bytes c.footprint.static_total)
+              (Repro_util.Units.pp_bytes (Footprint.hot_bytes c.footprint total))
               (Bblock_stats.avg_block_bytes c.bblocks total)
               (Bblock_stats.avg_taken_distance c.bblocks total))
       names

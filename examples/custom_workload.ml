@@ -41,8 +41,7 @@ let () =
     my_app.name
     (100.0 *. A.Branch_mix.branch_fraction c.mix total)
     (100.0 *. A.Branch_bias.biased_fraction c.bias total)
-    (Repro_util.Units.pp_bytes
-       (A.Footprint.dynamic_bytes c.footprint total ~coverage:0.99));
+    (Repro_util.Units.pp_bytes (A.Footprint.hot_bytes c.footprint total));
   (* How do the two named core designs fare on it? *)
   let executor = W.Executor.create my_app in
   let trace = W.Executor.trace executor in

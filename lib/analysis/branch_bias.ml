@@ -76,9 +76,8 @@ let deciles t scope =
   if !total = 0.0 then Array.make 10 nan
   else Array.map (fun b -> b /. !total) buckets
 
-let biased_fraction t scope =
-  let d = deciles t scope in
-  if Float.is_nan d.(0) then nan else d.(0) +. d.(9)
+let biased_of_deciles d = if Float.is_nan d.(0) then nan else d.(0) +. d.(9)
+let biased_fraction t scope = biased_of_deciles (deciles t scope)
 
 let scope_get split scope =
   match scope with

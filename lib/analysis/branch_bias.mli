@@ -20,6 +20,9 @@ val biased_fraction : t -> Branch_mix.scope -> float
 (** Mass in the two extreme buckets (0–10% plus >90%) — the paper's
     notion of "dominantly decided in one direction". *)
 
+val biased_of_deciles : float array -> float
+(** [biased_fraction] of an already computed {!deciles} array. *)
+
 val backward_taken_fraction : t -> Branch_mix.scope -> float
 (** Of dynamically taken conditionals, the share whose target
     precedes the branch (Table I's "backward" column). *)

@@ -3,7 +3,7 @@ type t = {
   suite : Repro_workload.Suite.t;
   mix : Branch_mix.t;
   bias : Branch_bias.t;
-  footprint : Footprint.t;
+  footprint : Footprint.summary;
   bblocks : Bblock_stats.t;
 }
 
@@ -17,7 +17,8 @@ let of_trace ~name ~suite trace =
       Branch_bias.observer bias;
       Footprint.observer footprint;
       Bblock_stats.observer bblocks ];
-  { name; suite; mix; bias; footprint; bblocks }
+  { name; suite; mix; bias; footprint = Footprint.summarize footprint;
+    bblocks }
 
 let of_profile ?insts profile =
   let executor = Repro_workload.Executor.create ?insts profile in

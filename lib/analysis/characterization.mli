@@ -1,14 +1,15 @@
 (** One-pass architecture-independent characterization of a benchmark:
     bundles the Fig. 1–4 / Table I tools, run over a single execution
     of the trace, exactly like attaching several pintools to one
-    instrumented run. *)
+    instrumented run. The footprint is kept as its summary: the
+    per-address table is dropped once the trace has been read. *)
 
 type t = {
   name : string;
   suite : Repro_workload.Suite.t;
   mix : Branch_mix.t;
   bias : Branch_bias.t;
-  footprint : Footprint.t;
+  footprint : Footprint.summary;
   bblocks : Bblock_stats.t;
 }
 
@@ -21,7 +22,6 @@ val of_profile : ?insts:int -> Repro_workload.Profile.t -> t
 
 (** {1 Aggregation} *)
 
-val suite_mean :
-  t list -> (t -> float) -> float
+val suite_mean : 'a list -> ('a -> float) -> float
 (** Arithmetic mean of a metric over benchmarks, skipping [nan]s
     (a benchmark with no serial instructions has no serial metrics). *)

@@ -69,3 +69,24 @@ let dynamic_bytes t scope ~coverage =
       t.cells []
   in
   Repro_util.Stats.bytes_for_coverage cells ~coverage
+
+type summary = {
+  static_total : int;
+  hot_total : int;
+  hot_serial : int;
+  hot_parallel : int;
+}
+
+let coverage = 0.99
+
+let summarize t =
+  let hot scope = dynamic_bytes t scope ~coverage in
+  { static_total = static_bytes t Branch_mix.Total;
+    hot_total = hot Branch_mix.Total;
+    hot_serial = hot (Branch_mix.Only Section.Serial);
+    hot_parallel = hot (Branch_mix.Only Section.Parallel) }
+
+let hot_bytes s = function
+  | Branch_mix.Total -> s.hot_total
+  | Branch_mix.Only Section.Serial -> s.hot_serial
+  | Branch_mix.Only Section.Parallel -> s.hot_parallel

@@ -1,10 +1,10 @@
 module Telemetry = Repro_util.Telemetry
 module Faults = Repro_util.Faults
 
-(* "4": figure-row artifacts became [float array] (they were
-   [(value, ci) array]), so a v3 payload must never be unmarshalled at
-   the new type. *)
-let version = "4"
+(* "5": a characterization's footprint became a four-int
+   [Footprint.summary] (it was the per-address table), so a v4 "charz"
+   payload must never be unmarshalled at the new type. *)
+let version = "5"
 
 let magic = "REPROCACHE2\n"
 let suffix = ".bin"

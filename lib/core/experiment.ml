@@ -616,18 +616,17 @@ let fig2 scale =
       in
       List.iter
         (fun (label, scope) ->
-          let decile i =
-            mean rs (fun r ->
-                (A.Branch_bias.deciles r.A.Characterization.bias scope).(i))
+          (* One histogram pass per benchmark and scope. *)
+          let ds =
+            List.map
+              (fun r -> A.Branch_bias.deciles r.A.Characterization.bias scope)
+              rs
           in
+          let col f = f1 (pct (mean ds f)) in
           Table.add_row t
             ([ Suite.to_string suite; label ]
-            @ List.init 10 (fun i -> f1 (pct (decile i)))
-            @ [ f1
-                  (pct
-                     (mean rs (fun r ->
-                          A.Branch_bias.biased_fraction
-                            r.A.Characterization.bias scope)));
+            @ List.init 10 (fun i -> col (fun d -> d.(i)))
+            @ [ col A.Branch_bias.biased_of_deciles;
                 (if label = "total" then
                    f1 (paper_of Paper_data.fig2_biased_pct suite)
                  else "") ]))
@@ -692,21 +691,17 @@ let fig3 scale =
   List.iter
     (fun suite ->
       let rs = suite_results scale suite in
-      let kb f = mean rs (fun r -> float_of_int (f r) /. 1024.0) in
+      let kb f =
+        mean rs (fun r ->
+            float_of_int (f r.A.Characterization.footprint) /. 1024.0)
+      in
+      let hot scope = f1 (kb (fun s -> A.Footprint.hot_bytes s scope)) in
       Table.add_row t
         [ Suite.to_string suite;
-          f1 (kb (fun r -> A.Footprint.static_bytes r.A.Characterization.footprint total));
-          f1 (kb (fun r ->
-                 A.Footprint.dynamic_bytes r.A.Characterization.footprint total
-                   ~coverage:0.99));
-          f1 (kb (fun r ->
-                 A.Footprint.dynamic_bytes r.A.Characterization.footprint serial
-                   ~coverage:0.99));
-          (if Suite.is_hpc suite then
-             f1 (kb (fun r ->
-                     A.Footprint.dynamic_bytes r.A.Characterization.footprint
-                       parallel ~coverage:0.99))
-           else "-");
+          f1 (kb (fun s -> s.A.Footprint.static_total));
+          hot total;
+          hot serial;
+          (if Suite.is_hpc suite then hot parallel else "-");
           f1 (paper_of Paper_data.fig3_static_kb suite) ])
     Suite.all;
   [ t ]

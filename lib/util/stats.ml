@@ -150,7 +150,7 @@ let bytes_for_coverage cells ~coverage =
   if total = 0.0 then 0
   else begin
     let sorted =
-      List.sort (fun (_, w1) (_, w2) -> compare w2 w1) cells
+      List.sort (fun (_, w1) (_, w2) -> Float.compare w2 w1) cells
     in
     let target = coverage *. total in
     let rec go bytes mass = function

@@ -8,6 +8,7 @@ module Trace = Repro_isa.Trace
 
 let total = A.Branch_mix.Total
 let serial = A.Branch_mix.Only Section.Serial
+let parallel = A.Branch_mix.Only Section.Parallel
 
 let mk ?(kind = Inst.Plain) ?(taken = false) ?(target = 0)
     ?(section = Section.Serial) ?(warmup = false) ?(size = 4) addr =
@@ -98,6 +99,66 @@ let test_footprint_warmup_static_only () =
     (A.Footprint.static_bytes f total);
   Alcotest.(check int) "dynamic excludes warmup" 4
     (A.Footprint.dynamic_bytes f total ~coverage:1.0)
+
+(* The summary a characterization keeps must equal what the per-address
+   accumulator computes for every scope. Addresses come from a small
+   range so cells repeat and weights tie, which exercises the sort's
+   tie order. *)
+let inst_gen =
+  QCheck.Gen.(
+    let* addr = int_bound 63 in
+    let* size = int_range 1 15 in
+    let* parallel = bool in
+    let* warmup = frequencyl [ (3, false); (1, true) ] in
+    return
+      (mk ~size ~warmup
+         ~section:(if parallel then Section.Parallel else Section.Serial)
+         (addr * 16)))
+
+let prop_footprint_summary =
+  QCheck.Test.make ~name:"summary == accumulator, all scopes" ~count:200
+    (QCheck.make
+       ~print:(fun l -> Printf.sprintf "<%d insts>" (List.length l))
+       QCheck.Gen.(list_size (int_range 0 300) inst_gen))
+    (fun stream ->
+      let f = A.Footprint.create () in
+      List.iter (A.Footprint.feed f) stream;
+      let hot scope =
+        A.Footprint.dynamic_bytes f scope ~coverage:A.Footprint.coverage
+      in
+      let expect =
+        { A.Footprint.static_total = A.Footprint.static_bytes f total;
+          hot_total = hot total;
+          hot_serial = hot serial;
+          hot_parallel = hot parallel }
+      in
+      let c =
+        A.Characterization.of_trace ~name:"prop"
+          ~suite:Repro_workload.Suite.Npb (Trace.of_list stream)
+      in
+      A.Footprint.summarize f = expect
+      && c.footprint = expect
+      && List.for_all
+           (fun scope -> A.Footprint.hot_bytes expect scope = hot scope)
+           [ total; serial; parallel ])
+
+(* A characterization is what the disk cache stores per benchmark, so
+   it must stay small: no per-address table may creep back in. The
+   budget is the experiments' scale-0.05 one. *)
+let test_characterization_size () =
+  List.iter
+    (fun (p : Repro_workload.Profile.t) ->
+      let insts =
+        max 50_000 (int_of_float (float_of_int p.total_insts *. 0.05))
+      in
+      let bytes =
+        String.length
+          (Marshal.to_string (A.Characterization.of_profile ~insts p) [])
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %d bytes < 64 KB" p.name bytes)
+        true (bytes < 64 * 1024))
+    Repro_workload.Suites.all
 
 let test_bblock_stats () =
   let s = A.Bblock_stats.create () in
@@ -221,7 +282,8 @@ let () =
       ("footprint",
        [ Alcotest.test_case "static/dynamic" `Quick test_footprint;
          Alcotest.test_case "warmup static only" `Quick
-           test_footprint_warmup_static_only ]);
+           test_footprint_warmup_static_only ]
+       @ Qseed.all [ prop_footprint_summary ]);
       ("bblock_stats", [ Alcotest.test_case "known trace" `Quick test_bblock_stats ]);
       ("bp_sim",
        [ Alcotest.test_case "oracle and anti" `Quick test_bp_sim_perfect_and_never ]);
@@ -235,4 +297,6 @@ let () =
        [ Alcotest.test_case "run_all order" `Quick test_tool_run_all_order;
          Alcotest.test_case "characterization" `Quick
            test_characterization_of_trace;
-         Alcotest.test_case "suite_mean" `Quick test_suite_mean_skips_nan ]) ]
+         Alcotest.test_case "suite_mean" `Quick test_suite_mean_skips_nan;
+         Alcotest.test_case "characterization size" `Slow
+           test_characterization_size ]) ]

@@ -52,8 +52,7 @@ let qcheck_parallel_characterization_deterministic =
           String.equal a.name b.name
           && exact (fun c -> A.Branch_mix.branch_fraction c.mix total)
           && exact (fun c -> A.Branch_bias.biased_fraction c.bias total)
-          && exact (fun c ->
-                 float_of_int (A.Footprint.static_bytes c.footprint total))
+          && exact (fun c -> float_of_int c.footprint.static_total)
           && exact (fun c -> A.Bblock_stats.avg_block_bytes c.bblocks total)
           && String.equal (Marshal.to_string a []) (Marshal.to_string b []))
         seq par)

@@ -71,12 +71,11 @@ let test_characteristic2_backward () =
 let test_characteristic3_footprint () =
   let hpc_dyn =
     mean hpc_chars (fun c ->
-        float_of_int
-          (A.Footprint.dynamic_bytes c.footprint parallel ~coverage:0.99))
+        float_of_int (A.Footprint.hot_bytes c.footprint parallel))
   in
   let int_dyn =
     mean int_chars (fun c ->
-        float_of_int (A.Footprint.dynamic_bytes c.footprint total ~coverage:0.99))
+        float_of_int (A.Footprint.hot_bytes c.footprint total))
   in
   Alcotest.(check bool)
     (Printf.sprintf "HPC 99%% dyn %.0fKB < 32KB" (hpc_dyn /. 1024.0))

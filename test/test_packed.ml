@@ -3,7 +3,8 @@
    The contract under test: a Repro_isa.Packed_trace capture is
    observationally identical to the stream it was built from — full
    replay, the filtered conditional/redirect replays, the bulk section
-   counts, characterizations built from it (Marshal byte-identity),
+   counts, characterizations and per-address footprint tables built
+   from it (Marshal byte-identity),
    and every trace-simulating experiment's rendered tables, across
    sequential and parallel engine runs and through the disk cache. *)
 
@@ -122,7 +123,9 @@ let test_size_validation () =
 
 (* ------------------------------------------------------------------ *)
 (* Capture of a real workload == its streaming trace, and the
-   characterization built from either is Marshal byte-identical. *)
+   characterization built from either is Marshal byte-identical. A
+   characterization keeps only the footprint summary, so the
+   per-address footprint table is compared on its own. *)
 
 let executor_capture_matches name =
   let p = W.Suites.find name in
@@ -137,7 +140,16 @@ let executor_capture_matches name =
   Alcotest.(check string)
     (name ^ " characterization bytes")
     (Marshal.to_string (charz (W.Executor.trace ex)) [])
-    (Marshal.to_string (charz (P.to_trace pt)) [])
+    (Marshal.to_string (charz (P.to_trace pt)) []);
+  let footprint trace =
+    let f = A.Footprint.create () in
+    A.Tool.run_all trace [ A.Footprint.observer f ];
+    Marshal.to_string f []
+  in
+  Alcotest.(check string)
+    (name ^ " footprint table bytes")
+    (footprint (W.Executor.trace ex))
+    (footprint (P.to_trace pt))
 
 let test_executor_capture () =
   List.iter executor_capture_matches [ "FT"; "CoMD"; "gobmk" ]

@@ -237,7 +237,12 @@ let test_bytes_for_coverage () =
     (Stats.bytes_for_coverage cells ~coverage:0.99);
   Alcotest.(check int) "50% needs the hottest" 100
     (Stats.bytes_for_coverage cells ~coverage:0.5);
-  Alcotest.(check int) "empty" 0 (Stats.bytes_for_coverage [] ~coverage:0.9)
+  Alcotest.(check int) "empty" 0 (Stats.bytes_for_coverage [] ~coverage:0.9);
+  (* Equal weights keep list order: the Fig. 3 numbers depend on it. *)
+  Alcotest.(check int) "tie takes the first cell" 8
+    (Stats.bytes_for_coverage [ (8, 1.); (4, 1.) ] ~coverage:0.5);
+  Alcotest.(check int) "tie, reversed" 4
+    (Stats.bytes_for_coverage [ (4, 1.); (8, 1.) ] ~coverage:0.5)
 
 (* ------------------------------------------------------------------ *)
 
