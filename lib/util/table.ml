@@ -86,9 +86,13 @@ let render t =
   rule ();
   line headers;
   rule ();
-  List.iter
-    (fun row -> match row with Separator -> rule () | Cells c -> line c)
-    rows;
+  (* A trailing separator would double the closing rule. *)
+  let rec body = function
+    | [] | [ Separator ] -> ()
+    | Separator :: rest -> rule (); body rest
+    | Cells c :: rest -> line c; body rest
+  in
+  body rows;
   rule ();
   Buffer.contents buf
 

@@ -15,7 +15,9 @@ val add_row : t -> string list -> unit
     empty cells; longer rows raise [Invalid_argument]. *)
 
 val add_separator : t -> unit
-(** Inserts a horizontal rule between the rows added before and after. *)
+(** Inserts a horizontal rule between the rows added before and after.
+    A separator with no row after it renders nothing: the table's
+    closing rule already ends it. *)
 
 val render : t -> string
 (** Renders the table with box-drawing in plain ASCII. *)

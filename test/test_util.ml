@@ -260,6 +260,15 @@ let test_table_render () =
   Alcotest.(check bool) "contains padded short row" true (contains s "yy");
   Alcotest.(check bool) "contains header" true (contains s "| a")
 
+let test_table_trailing_separator () =
+  let t = Table.create [ ("a", Table.Left) ] in
+  Table.add_row t [ "x" ];
+  Table.add_separator t;
+  Table.add_row t [ "y" ];
+  Table.add_separator t;
+  Alcotest.(check string) "inner rule kept, trailing one dropped"
+    "+---+\n| a |\n+---+\n| x |\n+---+\n| y |\n+---+\n" (Table.render t)
+
 let test_table_too_many_cells () =
   let t = Table.create [ ("a", Table.Left) ] in
   Alcotest.check_raises "too many"
@@ -467,6 +476,8 @@ let () =
          Alcotest.test_case "flag" `Quick test_env_flag ]);
       ("table",
        [ Alcotest.test_case "render" `Quick test_table_render;
+         Alcotest.test_case "trailing separator" `Quick
+           test_table_trailing_separator;
          Alcotest.test_case "too many cells" `Quick test_table_too_many_cells;
          Alcotest.test_case "formats" `Quick test_table_formats ]);
       ("units",
