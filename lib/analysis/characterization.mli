@@ -23,5 +23,6 @@ val of_profile : ?insts:int -> Repro_workload.Profile.t -> t
 (** {1 Aggregation} *)
 
 val suite_mean : 'a list -> ('a -> float) -> float
-(** Arithmetic mean of a metric over benchmarks, skipping [nan]s
-    (a benchmark with no serial instructions has no serial metrics). *)
+(** Arithmetic mean of a metric over benchmarks (or anything derived
+    from them, one item per benchmark), skipping [nan]s (a benchmark
+    with no serial instructions has no serial metrics). *)
