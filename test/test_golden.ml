@@ -1,6 +1,6 @@
 (* Golden-output regression tests: Report.run_to_string at scale 0.05
-   for fig1-fig4, tab1, fig5, fig6, fig8, fig9, tab2, tab3 and fig10,
-   pinned against committed expect-files, and required to render
+   for every experiment id (fig1-fig9, fig8p, tab1-tab3, fig10, fig10p
+   and fig11), pinned against committed expect-files, and required to render
    identically through every execution path — sequential, parallel,
    uncached and disk-cached. Regenerate an expect file after an
    intentional model change with:
@@ -62,5 +62,5 @@ let () =
            Alcotest.test_case (C.Experiment.to_string id) `Slow
              (check_all_paths id))
          C.Experiment.
-           [ Fig1; Fig2; Tab1; Fig3; Fig4; Fig5; Fig6; Fig8; Fig8p; Fig9; Tab2;
-             Tab3; Fig10; Fig10p ]) ]
+           [ Fig1; Fig2; Tab1; Fig3; Fig4; Fig5; Fig6; Fig7; Fig8; Fig8p; Fig9;
+             Tab2; Tab3; Fig10; Fig10p; Fig11 ]) ]
