@@ -44,7 +44,7 @@ let () =
     (Repro_util.Units.pp_bytes (A.Footprint.hot_bytes c.footprint total));
   (* How do the two named core designs fare on it? *)
   let executor = W.Executor.create my_app in
-  let trace = W.Executor.trace executor in
+  let src = A.Tool.Source.of_trace (W.Executor.trace executor) in
   List.iter2
     (fun label m ->
       Printf.printf
@@ -55,7 +55,7 @@ let () =
     [ "baseline"; "tailored" ]
     (U.Timing.measure_many
        [ U.Frontend_config.baseline; U.Frontend_config.tailored ]
-       trace);
+       src);
   print_endline
     "\nA loop-dominated kernel with a tiny footprint loses nothing on the\n\
      tailored front-end; that area buys an extra core at the CMP level."

@@ -5,9 +5,10 @@ type spec =
   | Named of { name : string; loop : bool; core : F.Zoo.core }
   | Static of Bp_sim.static
 
-let of_name name =
-  let s = F.Zoo.spec_by_name name in
-  Named { name; loop = s.F.Zoo.loop; core = s.F.Zoo.core }
+let of_spec ~name (s : F.Zoo.spec) =
+  Named { name; loop = s.loop; core = s.core }
+
+let of_name name = of_spec ~name (F.Zoo.spec_by_name name)
 
 let of_static s = Static s
 

@@ -24,6 +24,11 @@ val of_name : string -> spec
 (** A Fig. 5 configuration by {!Repro_frontend.Zoo} name; raises
     [Not_found] for unknown names. *)
 
+val of_spec : name:string -> Repro_frontend.Zoo.spec -> spec
+(** Any predictor spec, e.g. a core's
+    [Repro_uarch.Frontend_config.bp_spec]; [name] is what {!spec_name}
+    reports. *)
+
 val of_static : Bp_sim.static -> spec
 (** A zero-storage static scheme. *)
 

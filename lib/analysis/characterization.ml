@@ -7,18 +7,21 @@ type t = {
   bblocks : Bblock_stats.t;
 }
 
-let of_trace ~name ~suite trace =
+let of_source ~name ~suite src =
   let mix = Branch_mix.create () in
   let bias = Branch_bias.create () in
   let footprint = Footprint.create () in
   let bblocks = Bblock_stats.create () in
-  Tool.run_all trace
+  Tool.run_all_source src
     [ Branch_mix.observer mix;
       Branch_bias.observer bias;
       Footprint.observer footprint;
       Bblock_stats.observer bblocks ];
   { name; suite; mix; bias; footprint = Footprint.summarize footprint;
     bblocks }
+
+let of_trace ~name ~suite trace =
+  of_source ~name ~suite (Tool.Source.of_trace trace)
 
 let of_profile ?insts profile =
   let executor = Repro_workload.Executor.create ?insts profile in

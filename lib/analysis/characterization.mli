@@ -13,9 +13,13 @@ type t = {
   bblocks : Bblock_stats.t;
 }
 
+val of_source :
+  name:string -> suite:Repro_workload.Suite.t -> Tool.Source.t -> t
+(** Run all four tools over the source in one pass. *)
+
 val of_trace :
   name:string -> suite:Repro_workload.Suite.t -> Repro_isa.Trace.t -> t
-(** Run all four tools over the trace in one pass. *)
+(** {!of_source} over a streaming trace. *)
 
 val of_profile : ?insts:int -> Repro_workload.Profile.t -> t
 (** Generate the benchmark's program, execute it, characterize it. *)

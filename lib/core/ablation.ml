@@ -48,12 +48,15 @@ let workload_time (p : W.Profile.t) (m : U.Timing.measurement) =
 let run ?insts profiles =
   if profiles = [] then invalid_arg "Ablation.run: no profiles";
   let configs = List.map (fun v -> v.config) variants in
-  (* One pass per workload measures every variant. *)
+  (* One measurement per workload covers every variant. *)
   let per_workload =
     List.map
       (fun (p : W.Profile.t) ->
         let executor = W.Executor.create ?insts p in
-        let ms = U.Timing.measure_many configs (W.Executor.trace executor) in
+        let ms =
+          U.Timing.measure_many configs
+            (Repro_analysis.Tool.Source.of_trace (W.Executor.trace executor))
+        in
         let base_time = workload_time p (List.hd ms) in
         List.map (fun m -> workload_time p m /. base_time) ms)
       profiles

@@ -202,7 +202,7 @@ let exported_counters =
     "engine.tasks_failed"; "engine.tasks_timed_out"; "engine.busy_ns";
     "cache.hits"; "cache.misses"; "cache.read_bytes"; "cache.write_bytes";
     "cache.quarantined"; "faults.injected"; "experiment.holes";
-    "dispatch.worker_tasks" ]
+    "experiment.capture_fallbacks"; "dispatch.worker_tasks" ]
 
 let bye_payload () =
   let counters =

@@ -83,6 +83,11 @@ let locked f = Mutex.protect memo_lock f
 let characterizations : (string * float, A.Characterization.t) Hashtbl.t =
   Hashtbl.create 64
 
+(* Keyed by (cache kind, benchmark, scale); see [evaluate_cmps]. *)
+let cmp_evals :
+    (string * string * float, (U.Cmp.config * U.Cmp.eval) list) Hashtbl.t =
+  Hashtbl.create 64
+
 let scaled_insts (p : W.Profile.t) scale =
   max 50_000 (int_of_float (float_of_int p.total_insts *. scale))
 
@@ -92,74 +97,18 @@ let scaled_insts (p : W.Profile.t) scale =
    and count nothing. *)
 let note_sim_insts n = Repro_util.Telemetry.add "experiment.sim_insts" n
 
-let characterize scale (p : W.Profile.t) =
-  let key = (p.name, scale) in
-  match locked (fun () -> Hashtbl.find_opt characterizations key) with
-  | Some c -> c
-  | None ->
-      let c =
-        Cache.memoize (Cache.key ~profile:p ~scale ~kind:"charz") (fun () ->
-            let insts = scaled_insts p scale in
-            note_sim_insts insts;
-            A.Characterization.of_profile ~insts p)
-      in
-      locked (fun () -> Hashtbl.replace characterizations key c);
-      c
-
-let cmp_evals :
-    (string * float, (U.Cmp.config * U.Cmp.eval) list) Hashtbl.t =
-  Hashtbl.create 64
-
-let evaluate_cmps scale (p : W.Profile.t) =
-  let key = (p.name, scale) in
-  match locked (fun () -> Hashtbl.find_opt cmp_evals key) with
-  | Some e -> e
-  | None ->
-      (* Only the eval list is persisted; the config tags are static
-         program values and are re-attached on the way out. *)
-      let evals =
-        Cache.memoize (Cache.key ~profile:p ~scale ~kind:"cmp") (fun () ->
-            let insts = scaled_insts p scale in
-            note_sim_insts insts;
-            U.Cmp.evaluate_many ~insts U.Cmp.standard_configs p)
-      in
-      let tagged = List.combine U.Cmp.standard_configs evals in
-      locked (fun () -> Hashtbl.replace cmp_evals key tagged);
-      tagged
-
-(* fig10p's learned-replacement CMP evaluations: same shape as
-   [evaluate_cmps] over {!U.Cmp.learned_configs}, under its own cache
-   kind so the two artifact families can never collide. *)
-let cmp_evals_learned :
-    (string * float, (U.Cmp.config * U.Cmp.eval) list) Hashtbl.t =
-  Hashtbl.create 64
-
-let evaluate_cmps_learned scale (p : W.Profile.t) =
-  let key = (p.name, scale) in
-  match locked (fun () -> Hashtbl.find_opt cmp_evals_learned key) with
-  | Some e -> e
-  | None ->
-      let evals =
-        Cache.memoize (Cache.key ~profile:p ~scale ~kind:"cmpl") (fun () ->
-            let insts = scaled_insts p scale in
-            note_sim_insts insts;
-            U.Cmp.evaluate_many ~insts U.Cmp.learned_configs p)
-      in
-      let tagged = List.combine U.Cmp.learned_configs evals in
-      locked (fun () -> Hashtbl.replace cmp_evals_learned key tagged);
-      tagged
-
 (* ------------------------------------------------------------------ *)
 (* Packed traces.
 
-   The trace-simulating experiments (figs 5-9) sweep many hardware
-   configurations over each (profile, scale) instruction stream; some
-   visit the same stream from several figures. Rather than re-running
-   the generator on every visit, the stream is captured once into a
-   {!Repro_isa.Packed_trace} and replayed. An LRU byte budget
-   (REPRO_PACKED_MB, default 512) keeps the resident set bounded;
-   REPRO_PACKED=0 disables capture entirely and REPRO_PACKED_CACHE=1
-   additionally persists captures through {!Cache}. *)
+   Every measured figure reads each (profile, scale) instruction
+   stream: the characterization behind figs 1-4, the sweeps of figs
+   5-9 over many hardware configurations, and the CMP evaluations of
+   figs 10, 10p and 11. Rather than re-running the generator on every
+   visit, the stream is captured once into a {!Repro_isa.Packed_trace}
+   and replayed. An LRU byte budget (REPRO_PACKED_MB, default 512)
+   keeps the resident set bounded; REPRO_PACKED=0 disables capture
+   entirely and REPRO_PACKED_CACHE=1 additionally persists captures
+   through {!Cache}. *)
 
 (* Environment toggles are re-read on use (tests flip them with
    [putenv], and the Server daemon's reload path re-reads them) but
@@ -301,7 +250,6 @@ let clear_cache ?(disk = false) () =
   locked (fun () ->
       Hashtbl.reset characterizations;
       Hashtbl.reset cmp_evals;
-      Hashtbl.reset cmp_evals_learned;
       Hashtbl.reset packed_traces;
       packed_bytes := 0);
   if disk then Cache.clear ()
@@ -309,15 +257,60 @@ let clear_cache ?(disk = false) () =
 (* ------------------------------------------------------------------ *)
 (* Helpers *)
 
-(* Replayable source for one simulation pass of the trace-simulating
-   experiments (figs 5-9); accounts the simulated instructions per
-   pass exactly as a streaming run would. *)
+(* Replayable source for one simulation pass of a measured figure
+   (the characterization, the sweeps and the CMP evaluations all read
+   the same capture); accounts the simulated instructions per pass
+   exactly as a streaming run would. A capture lost to the
+   [trace.capture] fault site streams this pass instead, counted in
+   [experiment.capture_fallbacks]: the unsupervised render paths of
+   figs 1-4, 10, 10p and 11 must not gain a fault site. *)
 let source scale (p : W.Profile.t) =
   let insts = scaled_insts p scale in
   note_sim_insts insts;
-  if packed_enabled () then A.Tool.Source.of_packed (packed_trace scale p)
-  else
+  let stream () =
     A.Tool.Source.of_trace (W.Executor.trace (W.Executor.create ~insts p))
+  in
+  if not (packed_enabled ()) then stream ()
+  else
+    match packed_trace scale p with
+    | pt -> A.Tool.Source.of_packed pt
+    | exception Repro_util.Faults.Injected "trace.capture" ->
+        Repro_util.Telemetry.incr "experiment.capture_fallbacks";
+        stream ()
+
+let characterize scale (p : W.Profile.t) =
+  let key = (p.name, scale) in
+  match locked (fun () -> Hashtbl.find_opt characterizations key) with
+  | Some c -> c
+  | None ->
+      let c =
+        Cache.memoize (Cache.key ~profile:p ~scale ~kind:"charz") (fun () ->
+            A.Characterization.of_source ~name:p.name ~suite:p.suite
+              (source scale p))
+      in
+      locked (fun () -> Hashtbl.replace characterizations key c);
+      c
+
+(* A CMP evaluation family: its cache kind and its configurations.
+   fig10 and fig11 read the standard family, fig10p the learned one;
+   the kinds keep the two artifact families from ever colliding. *)
+let cmp_standard = ("cmp", U.Cmp.standard_configs)
+let cmp_learned = ("cmpl", U.Cmp.learned_configs)
+
+let evaluate_cmps (kind, configs) scale (p : W.Profile.t) =
+  let key = (kind, p.name, scale) in
+  match locked (fun () -> Hashtbl.find_opt cmp_evals key) with
+  | Some e -> e
+  | None ->
+      (* Only the eval list is persisted; the config tags are static
+         program values and are re-attached on the way out. *)
+      let evals =
+        Cache.memoize (Cache.key ~profile:p ~scale ~kind) (fun () ->
+            U.Cmp.evaluate_source configs p (source scale p))
+      in
+      let tagged = List.combine configs evals in
+      locked (fun () -> Hashtbl.replace cmp_evals key tagged);
+      tagged
 
 let serial = A.Branch_mix.Only Repro_isa.Section.Serial
 let parallel = A.Branch_mix.Only Repro_isa.Section.Parallel
@@ -1117,7 +1110,7 @@ let tab3 () =
 (* Shared shape of fig10/fig10p: one table per metric, suites as
    rows, one column per CMP configuration, every cell normalized to
    the Baseline CMP of the same evaluation family. *)
-let cmp_suite_tables ~fig configs evals_of =
+let cmp_suite_tables ~fig ((_, configs) as family) scale =
   let metrics =
     [ ("time", fun (e : U.Cmp.eval) -> e.time);
       ("power", fun e -> e.power);
@@ -1139,7 +1132,9 @@ let cmp_suite_tables ~fig configs evals_of =
       in
       List.iter
         (fun suite ->
-          let per_bench = List.map evals_of (W.Suites.by_suite suite) in
+          let per_bench =
+            List.map (evaluate_cmps family scale) (W.Suites.by_suite suite)
+          in
           let ratios =
             List.map
               (fun (cfg : U.Cmp.config) ->
@@ -1160,12 +1155,8 @@ let cmp_suite_tables ~fig configs evals_of =
       t)
     metrics
 
-let fig10 scale =
-  cmp_suite_tables ~fig:"10" U.Cmp.standard_configs (evaluate_cmps scale)
-
-let fig10p scale =
-  cmp_suite_tables ~fig:"10p" U.Cmp.learned_configs
-    (evaluate_cmps_learned scale)
+let fig10 scale = cmp_suite_tables ~fig:"10" cmp_standard scale
+let fig10p scale = cmp_suite_tables ~fig:"10p" cmp_learned scale
 
 let fig11 scale =
   let t =
@@ -1179,7 +1170,7 @@ let fig11 scale =
   in
   List.iter
     (fun name ->
-      let evals = evaluate_cmps scale (W.Suites.find name) in
+      let evals = evaluate_cmps cmp_standard scale (W.Suites.find name) in
       let base = List.assoc U.Cmp.baseline_cmp evals in
       let ratios =
         List.map
@@ -1272,10 +1263,10 @@ let run_task ~scale { t_kind; t_bench } =
           ignore (characterize scale p);
           true
       | "cmp" ->
-          ignore (evaluate_cmps scale p);
+          ignore (evaluate_cmps cmp_standard scale p);
           true
       | "cmpl" ->
-          ignore (evaluate_cmps_learned scale p);
+          ignore (evaluate_cmps cmp_learned scale p);
           true
       | k when String.length k > 4 && String.equal (String.sub k 0 4) "row." -> (
           let tag = String.sub k 4 (String.length k - 4) in
@@ -1292,9 +1283,13 @@ let run_task ~scale { t_kind; t_bench } =
 
    Prefetch is purely a warm-up, so failures are swallowed rather
    than recorded as holes: a benchmark whose prefetch died (e.g. its
-   packed-trace capture kept hitting the [trace.capture] fault site)
-   is recomputed on the synchronous path when the table code reads
-   it, and only a failure there is a real loss.
+   sweep's engine task kept hitting the [engine.task] fault site) is
+   recomputed on the synchronous path when the table code reads it,
+   and only a failure there is a real loss.
+
+   Every measured figure reads its benchmarks through [source], so
+   the charz and CMP prefetches capture exactly the traces [traces]
+   warms for the sweeps, and a later figure replays them.
 
    For the trace-simulating figures the render reads nothing but the
    persisted row artifacts, so a benchmark whose rows for this
@@ -1304,9 +1299,8 @@ let run_task ~scale { t_kind; t_bench } =
 let prefetch ~jobs scale id =
   let sup f profiles = ignore (Engine.map_result ~jobs f profiles) in
   let charz profiles = sup (fun p -> ignore (characterize scale p)) profiles in
-  let cmps profiles = sup (fun p -> ignore (evaluate_cmps scale p)) profiles in
-  let cmps_learned profiles =
-    sup (fun p -> ignore (evaluate_cmps_learned scale p)) profiles
+  let cmps family profiles =
+    sup (fun p -> ignore (evaluate_cmps family scale p)) profiles
   in
   let traces profiles =
     if packed_enabled () then begin
@@ -1340,9 +1334,9 @@ let prefetch ~jobs scale id =
   in
   match id with
   | Fig1 | Fig2 | Tab1 | Fig3 | Fig4 -> charz W.Suites.all
-  | Fig10 -> cmps W.Suites.all
-  | Fig10p -> cmps_learned W.Suites.all
-  | Fig11 -> cmps (List.map W.Suites.find W.Suites.fig11_subset)
+  | Fig10 -> cmps cmp_standard W.Suites.all
+  | Fig10p -> cmps cmp_learned W.Suites.all
+  | Fig11 -> cmps cmp_standard (List.map W.Suites.find W.Suites.fig11_subset)
   | Fig5 | Fig7 | Fig8 | Fig8p | Fig9 -> traces W.Suites.all
   | Fig6 -> traces (List.map W.Suites.find W.Suites.fig6_subset)
   | Tab2 | Tab3 -> ()

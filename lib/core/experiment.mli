@@ -5,9 +5,10 @@
 
     Traces are expensive, so characterizations and CMP measurements
     are memoized per [(benchmark, scale)] within the process and
-    persisted across processes by {!Cache}; a harness that runs every
-    experiment pays for each benchmark's trace once per kind of
-    measurement, ever. Per-benchmark trace runs are sharded across
+    persisted across processes by {!Cache}, and every measurement
+    replays the one packed capture of the benchmark: a harness that
+    runs every experiment generates each benchmark's trace once per
+    process, and only while some artifact it reads is missing. Per-benchmark trace runs are sharded across
     cores by {!Engine}; each benchmark's generator is reseeded from
     its profile, so parallel results are bit-identical to sequential
     ones. *)
@@ -79,13 +80,17 @@ val clear_cache : ?disk:bool -> unit -> unit
     with [~disk:true] also delete the persistent {!Cache} entries. *)
 
 val set_packed : bool -> unit
-(** Enable or disable packed-trace capture for the trace-simulating
-    experiments (figs 5-9). When enabled (the default unless
-    [REPRO_PACKED=0]), each (benchmark, scale) stream is captured once
-    into a {!Repro_isa.Packed_trace} and replayed across sweep
-    configurations, under an LRU byte budget ([REPRO_PACKED_MB],
-    default 512); [REPRO_PACKED_CACHE=1] additionally persists
-    captures through {!Cache}. Results are identical either way. *)
+(** Enable or disable packed-trace capture for every measured figure
+    (the characterization of figs 1-4, the sweeps of figs 5-9, the
+    CMP evaluations of figs 10, 10p and 11). When enabled (the
+    default unless [REPRO_PACKED=0]), each (benchmark, scale) stream
+    is captured once into a {!Repro_isa.Packed_trace} and replayed by
+    every figure that measures it, under an LRU byte budget
+    ([REPRO_PACKED_MB], default 512); [REPRO_PACKED_CACHE=1]
+    additionally persists captures through {!Cache}. A capture that
+    hits the injected [trace.capture] fault streams that pass instead
+    (counted in [experiment.capture_fallbacks]). Results are
+    identical either way. *)
 
 val packed_enabled : unit -> bool
 

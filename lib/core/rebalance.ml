@@ -58,9 +58,9 @@ let estimate ?insts config profiles =
     List.map
       (fun (p : W.Profile.t) ->
         let executor = W.Executor.create ?insts p in
-        let trace = W.Executor.trace executor in
+        let src = Repro_analysis.Tool.Source.of_trace (W.Executor.trace executor) in
         match
-          U.Timing.measure_many [ config; U.Frontend_config.baseline ] trace
+          U.Timing.measure_many [ config; U.Frontend_config.baseline ] src
         with
         | [ m_cfg; m_base ] ->
             workload_time p m_cfg /. workload_time p m_base

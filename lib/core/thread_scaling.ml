@@ -43,12 +43,12 @@ let cmp_time ~n_cores (p : W.Profile.t) (m_master : U.Timing.measurement)
 
 let sweep ?insts ?(cores = [ 8; 16; 32; 64 ]) (p : W.Profile.t) =
   let executor = W.Executor.create ?insts p in
-  let trace = W.Executor.trace executor in
+  let src = Repro_analysis.Tool.Source.of_trace (W.Executor.trace executor) in
   let m_base, m_tail =
     match
       U.Timing.measure_many
         [ U.Frontend_config.baseline; U.Frontend_config.tailored ]
-        trace
+        src
     with
     | [ a; b ] -> (a, b)
     | _ -> assert false

@@ -82,17 +82,26 @@ let spec_by_name name =
           | None -> raise Not_found)
       | Some _ | None -> raise Not_found)
 
-let realize_core name = function
-  | Gshare_core { history_bits } -> Gshare.pack ~name (Gshare.create ~history_bits)
-  | Opaque mk -> mk ()
+let realize ?name s =
+  let base =
+    match s.core with
+    | Gshare_core { history_bits } ->
+        let name =
+          match name with
+          | Some n -> n
+          | None -> Printf.sprintf "gshare-%d" history_bits
+        in
+        Gshare.pack ~name (Gshare.create ~history_bits)
+    | Opaque mk -> mk ()
+  in
+  if s.loop then with_loop base else base
 
 let by_name name =
   let s = spec_by_name name in
   let base_name =
     if s.loop then String.sub name 2 (String.length name - 2) else name
   in
-  let base = realize_core base_name s.core in
-  if s.loop then with_loop base else base
+  realize ~name:base_name s
 
 let extension_makers =
   [ ("perceptron-128", perceptron); ("two-level-10.10", two_level) ]

@@ -58,6 +58,11 @@ val spec_by_name : string -> spec
 (** Spec for a Fig. 5 name; raises [Not_found] otherwise. [by_name]
     is [spec_by_name] realized, so the two can never disagree. *)
 
+val realize : ?name:string -> spec -> Predictor.t
+(** Fresh predictor for a spec, wrapped by {!with_loop} when [loop].
+    A gshare core is packed under [name] (default [gshare-<bits>]);
+    opaque makers name their own predictor. *)
+
 (** {1 Extension predictors}
 
     Beyond the paper's three families: used by the extension

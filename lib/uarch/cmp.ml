@@ -118,23 +118,24 @@ let eval_from_measurements c (p : Repro_workload.Profile.t)
   let power = if time > 0.0 then energy /. time else 0.0 in
   { time; power; energy; ed = energy *. time; area = area_mm2 c }
 
+let evaluate_source configs p src =
+  (* Timing simulates each distinct structure once, so listing a core
+     type once per config costs nothing; per-structure measurements
+     are independent, so sharing them never changes any of them. *)
+  let cores = List.concat_map (fun c -> [ c.master; c.workers ]) configs in
+  let rec pair configs ms =
+    match (configs, ms) with
+    | c :: configs, m_master :: m_workers :: ms ->
+        eval_from_measurements c p m_master m_workers :: pair configs ms
+    | _ -> []
+  in
+  pair configs (Timing.measure_many cores src)
+
 let evaluate_many ?insts configs p =
   let executor = Repro_workload.Executor.create ?insts p in
-  let trace = Repro_workload.Executor.trace executor in
-  (* One trace pass measures every distinct core type the configs
-     use; per-core measurements are independent, so sharing the pass
-     never changes any of them. *)
-  let distinct =
-    List.fold_left
-      (fun acc (c : config) ->
-        let add acc cfg = if List.mem cfg acc then acc else acc @ [ cfg ] in
-        add (add acc c.master) c.workers)
-      [] configs
-  in
-  let measurements = List.combine distinct (Timing.measure_many distinct trace) in
-  let m_of cfg = List.assoc cfg measurements in
-  List.map (fun c -> eval_from_measurements c p (m_of c.master) (m_of c.workers))
-    configs
+  evaluate_source configs p
+    (Repro_analysis.Tool.Source.of_trace
+       (Repro_workload.Executor.trace executor))
 
 let evaluate ?insts config p =
   match evaluate_many ?insts [ config ] p with

@@ -50,16 +50,25 @@ type eval = {
 val n_cores : config -> int
 val area_mm2 : config -> float
 
+val evaluate_source :
+  config list -> Repro_workload.Profile.t -> Repro_analysis.Tool.Source.t ->
+  eval list
+(** Evaluate every configuration against one benchmark's instruction
+    source. The cores' front-end rates come from
+    {!Timing.measure_many}, which simulates each distinct predictor,
+    BTB and I-cache once for all configs; over a packed capture that
+    is the same resident trace the sweep figures replay. The measured
+    thread-0 parallel instruction count is multiplied by the thread
+    count (8) to recover total parallel work. *)
+
 val evaluate : ?insts:int -> config -> Repro_workload.Profile.t -> eval
-(** Generate the benchmark, measure both core types' front-end rates
-    in one trace pass, and evaluate the CMP. The measured thread-0
-    parallel instruction count is multiplied by the thread count
-    (8) to recover total parallel work. *)
+(** {!evaluate_many} of one configuration. *)
 
 val evaluate_many :
   ?insts:int -> config list -> Repro_workload.Profile.t -> eval list
-(** All configurations against one benchmark, sharing the trace pass
-    (the per-core-type measurements are reused across configs). *)
+(** {!evaluate_source} over a freshly generated stream of the
+    benchmark ([insts] instructions); the stream is re-run once per
+    structure kind. *)
 
 val relative : eval -> baseline:eval -> eval
 (** Field-wise ratio to a baseline evaluation. *)

@@ -42,22 +42,22 @@ let tailored =
 let tailored_preuse =
   { tailored with icache_repl = Repro_frontend.Replacement.Preuse }
 
-let base_bp t =
-  match t.bp with
-  | Gshare { history_bits } ->
-      Repro_frontend.Gshare.pack
-        ~name:(Printf.sprintf "gshare-%d" history_bits)
-        (Repro_frontend.Gshare.create ~history_bits)
-  | Tournament { addr_bits; history_bits } ->
-      Repro_frontend.Tournament.pack
-        ~name:(Printf.sprintf "tournament-%d-%d" addr_bits history_bits)
-        (Repro_frontend.Tournament.create ~addr_bits ~history_bits)
-  | Tage_small -> Repro_frontend.Zoo.tage_small ()
-  | Tage_big -> Repro_frontend.Zoo.tage_big ()
+let bp_spec t =
+  let core =
+    match t.bp with
+    | Gshare { history_bits } -> Repro_frontend.Zoo.Gshare_core { history_bits }
+    | Tournament { addr_bits; history_bits } ->
+        Repro_frontend.Zoo.Opaque
+          (fun () ->
+            Repro_frontend.Tournament.pack
+              ~name:(Printf.sprintf "tournament-%d-%d" addr_bits history_bits)
+              (Repro_frontend.Tournament.create ~addr_bits ~history_bits))
+    | Tage_small -> Repro_frontend.Zoo.Opaque Repro_frontend.Zoo.tage_small
+    | Tage_big -> Repro_frontend.Zoo.Opaque Repro_frontend.Zoo.tage_big
+  in
+  { Repro_frontend.Zoo.loop = t.bp_loop; core }
 
-let make_bp t =
-  let bp = base_bp t in
-  if t.bp_loop then Repro_frontend.Zoo.with_loop bp else bp
+let make_bp t = Repro_frontend.Zoo.realize (bp_spec t)
 
 let bp_bits t = (make_bp t).Repro_frontend.Predictor.storage_bits
 

@@ -32,8 +32,14 @@ val tailored_preuse : t
 (** {!tailored} with perceptron reuse/bypass I-cache replacement
     instead of LRU (the fig10p design point). *)
 
+val bp_spec : t -> Repro_frontend.Zoo.spec
+(** The predictor as a declarative spec, the form fused sweeps
+    ({!Repro_analysis.Bp_sweep.of_spec}) take. *)
+
 val make_bp : t -> Repro_frontend.Predictor.t
-(** Fresh predictor instance for this configuration. *)
+(** Fresh predictor instance for this configuration: {!bp_spec}
+    realized, so the sweep and every other caller run the same
+    predictor. *)
 
 val bp_bits : t -> int
 (** Hardware budget of the predictor (incl. loop predictor). *)

@@ -18,10 +18,18 @@ type measurement = {
 }
 
 val measure_many :
-  Frontend_config.t list -> Repro_isa.Trace.t -> measurement list
-(** Simulate all configurations over one pass of the trace. *)
-
-val measure : Frontend_config.t -> Repro_isa.Trace.t -> measurement
+  Frontend_config.t list -> Repro_analysis.Tool.Source.t -> measurement list
+(** Measure every configuration over the source, result [i] for
+    config [i]. Each distinct structure — branch predictor, BTB
+    geometry, I-cache geometry and policy — is simulated once, by
+    the fused {!Repro_analysis.Bp_sweep}, {!Repro_analysis.Btb_sweep}
+    and {!Repro_analysis.Icache_sweep} kernels (one pass over the
+    source each), and shared by every config that uses it: the
+    tailored core and its preuse variant share one predictor run and
+    one BTB run. Rates are bit-identical to per-config
+    {!Repro_analysis.Bp_sim}/[Btb_sim]/[Icache_sim] runs. Over a
+    packed source the predictor and BTB passes replay only branch
+    events. *)
 
 (** {1 CPI model} *)
 

@@ -616,6 +616,29 @@ let test_e2e_every_site_saturated_fig4 () =
       Alcotest.(check string) "fig4 identical at 100% fault rate" clean
         faulted)
 
+let test_e2e_every_site_saturated_fig10 () =
+  protected (fun () ->
+      Faults.configure None;
+      let clean = run_text C.Experiment.Fig10 in
+      (* fig10 measures its CMPs over the packed capture the sweeps
+         replay; at probability 1 that capture never succeeds, so every
+         measurement must fall back to streaming its pass (and count
+         it) rather than fail on the unsupervised render path. *)
+      Faults.configure (Some "all:1.0:1");
+      let module T = Repro_util.Telemetry in
+      let was = T.enabled () in
+      T.set_enabled true;
+      let fallbacks0 = T.counter "experiment.capture_fallbacks" in
+      let faulted =
+        Fun.protect
+          ~finally:(fun () -> T.set_enabled was)
+          (fun () -> run_text C.Experiment.Fig10)
+      in
+      Alcotest.(check string) "fig10 identical at 100% fault rate" clean
+        faulted;
+      Alcotest.(check bool) "capture fallbacks counted" true
+        (T.counter "experiment.capture_fallbacks" > fallbacks0))
+
 let test_e2e_degraded_holes () =
   protected (fun () ->
       C.Engine.set_retries 0;
@@ -708,6 +731,8 @@ let () =
             test_e2e_faulted_fig8p_identical;
           Alcotest.test_case "100% fault rate, fig4 identical" `Slow
             test_e2e_every_site_saturated_fig4;
+          Alcotest.test_case "100% fault rate, fig10 identical" `Slow
+            test_e2e_every_site_saturated_fig10;
           Alcotest.test_case "degradation marks holes" `Slow
             test_e2e_degraded_holes;
           Alcotest.test_case "strict mode aborts" `Slow test_e2e_strict_raises ]

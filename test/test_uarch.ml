@@ -3,6 +3,10 @@
 
 module U = Repro_uarch
 module W = Repro_workload
+module A = Repro_analysis
+module F = Repro_frontend
+module I = Repro_isa.Inst
+module S = Repro_isa.Section
 
 let checkf eps = Alcotest.(check (float eps))
 
@@ -90,7 +94,14 @@ let test_timing_cpi_formula () =
 let test_timing_measure_sections () =
   let p = W.Suites.find "CoMD" in
   let ex = W.Executor.create ~insts:150_000 p in
-  let m = U.Timing.measure U.Frontend_config.baseline (W.Executor.trace ex) in
+  let m =
+    match
+      U.Timing.measure_many [ U.Frontend_config.baseline ]
+        (A.Tool.Source.of_trace (W.Executor.trace ex))
+    with
+    | [ m ] -> m
+    | _ -> Alcotest.fail "expected one measurement"
+  in
   Alcotest.(check bool) "serial insts measured" true (m.serial_insts > 0);
   Alcotest.(check bool) "parallel insts measured" true (m.parallel_insts > 0);
   Alcotest.(check bool) "rates finite" true
@@ -103,12 +114,191 @@ let test_timing_measure_many_consistent () =
   match
     U.Timing.measure_many
       [ U.Frontend_config.baseline; U.Frontend_config.baseline ]
-      trace
+      (A.Tool.Source.of_trace trace)
   with
   | [ a; b ] ->
       checkf 1e-9 "identical configs identical rates" a.total.bp_mpki
         b.total.bp_mpki
   | _ -> Alcotest.fail "expected two measurements"
+
+(* ------------------------------------------------------------------ *)
+(* Oracle: the fused Timing.measure_many against one independent
+   per-config Bp_sim/Btb_sim/Icache_sim observer set per core, driven
+   together over a single pass of the stream. *)
+
+let reference_measure_many cfgs trace =
+  let zero_if_nan x = if Float.is_nan x then 0.0 else x in
+  let sims =
+    List.map
+      (fun (cfg : U.Frontend_config.t) ->
+        let bp = A.Bp_sim.create (U.Frontend_config.make_bp cfg) in
+        let btb =
+          A.Btb_sim.create ~entries:cfg.btb_entries ~assoc:cfg.btb_assoc
+        in
+        let ic =
+          A.Icache_sim.create ~policy:cfg.icache_repl
+            ~size_bytes:cfg.icache_bytes ~line_bytes:cfg.icache_line
+            ~assoc:cfg.icache_assoc ()
+        in
+        (bp, btb, ic))
+      cfgs
+  in
+  A.Tool.run_all trace
+    (List.concat_map
+       (fun (bp, btb, ic) ->
+         [ A.Bp_sim.observer bp; A.Btb_sim.observer btb;
+           A.Icache_sim.observer ic ])
+       sims);
+  List.map
+    (fun (bp, btb, ic) ->
+      let rates scope =
+        { U.Timing.bp_mpki = zero_if_nan (A.Bp_sim.mpki bp scope);
+          btb_mpki = zero_if_nan (A.Btb_sim.mpki btb scope);
+          icache_mpki = zero_if_nan (A.Icache_sim.mpki ic scope) }
+      in
+      let serial = A.Branch_mix.Only S.Serial in
+      let parallel = A.Branch_mix.Only S.Parallel in
+      { U.Timing.serial = rates serial;
+        parallel = rates parallel;
+        total = rates A.Branch_mix.Total;
+        serial_insts = A.Bp_sim.insts bp serial;
+        parallel_insts = A.Bp_sim.insts bp parallel })
+    sims
+
+let rates_equal (a : U.Timing.rates) (b : U.Timing.rates) =
+  Float.equal a.bp_mpki b.bp_mpki
+  && Float.equal a.btb_mpki b.btb_mpki
+  && Float.equal a.icache_mpki b.icache_mpki
+
+let measurement_equal (a : U.Timing.measurement) (b : U.Timing.measurement) =
+  rates_equal a.serial b.serial
+  && rates_equal a.parallel b.parallel
+  && rates_equal a.total b.total
+  && a.serial_insts = b.serial_insts
+  && a.parallel_insts = b.parallel_insts
+
+let config_gen =
+  QCheck.Gen.(
+    let* bp =
+      oneof
+        [ map (fun history_bits -> U.Frontend_config.Gshare { history_bits })
+            (int_range 2 14);
+          map2
+            (fun addr_bits history_bits ->
+              U.Frontend_config.Tournament { addr_bits; history_bits })
+            (int_range 4 12) (int_range 2 14);
+          oneofl U.Frontend_config.[ Tage_small; Tage_big ] ]
+    in
+    let* bp_loop = bool in
+    let* btb_entries, btb_assoc =
+      oneofl [ (16, 1); (64, 2); (64, 4); (256, 8); (512, 4); (2048, 4) ]
+    in
+    let* icache_bytes, icache_line, icache_assoc =
+      oneofl
+        [ (1024, 32, 2); (2048, 64, 1); (4096, 64, 4); (4096, 128, 8);
+          (16384, 128, 8); (32768, 64, 4) ]
+    in
+    let* icache_repl = oneofl F.Replacement.[ Lru; Preuse ] in
+    return
+      { U.Frontend_config.icache_bytes; icache_line; icache_assoc;
+        icache_repl; bp; bp_loop; btb_entries; btb_assoc })
+
+(* Random cores plus cores that recombine their structures (an
+   I-cache geometry under a freshly drawn policy), so lists share
+   predictors, BTBs and I-caches across different configs and
+   sometimes repeat a whole config. *)
+let config_list_gen =
+  QCheck.Gen.(
+    let* base = list_size (int_range 1 3) config_gen in
+    let pick = oneofl base in
+    let* mixed =
+      list_size (int_range 0 4)
+        (let* a = pick in
+         let* b = pick in
+         let* c = pick in
+         let* icache_repl = oneofl F.Replacement.[ Lru; Preuse ] in
+         return
+           { a with
+             U.Frontend_config.btb_entries = b.U.Frontend_config.btb_entries;
+             btb_assoc = b.btb_assoc;
+             icache_bytes = c.icache_bytes;
+             icache_line = c.icache_line;
+             icache_assoc = c.icache_assoc;
+             icache_repl })
+    in
+    shuffle_l (base @ mixed))
+
+let kinds =
+  [| I.Plain; I.Cond_branch; I.Uncond_direct; I.Indirect_branch; I.Call;
+     I.Indirect_call; I.Return; I.Syscall |]
+
+(* Random instructions over a small code window, so tables and lines
+   are reused. *)
+let inst_gen =
+  QCheck.Gen.(
+    let* kind = oneofa kinds in
+    let* addr = int_bound 0x3FFF in
+    let* size = int_range 1 15 in
+    let* taken = if kind = I.Plain then return false else bool in
+    let* target = if taken then int_bound 0x3FFF else return 0 in
+    let* parallel = bool in
+    let* warmup = frequencyl [ (3, false); (1, true) ] in
+    return
+      (I.make ~kind ~taken ~target
+         ~section:(if parallel then S.Parallel else S.Serial)
+         ~warmup ~addr ~size ()))
+
+(* A stream is either random instructions or a short slice of a real
+   benchmark (loops, warmup prefix, both sections). *)
+type stream = Random of I.t list | Bench of string * int
+
+let stream_gen =
+  QCheck.Gen.(
+    oneof
+      [ map (fun l -> Random l) (list_size (int_range 0 800) inst_gen);
+        map2
+          (fun (p : W.Profile.t) insts -> Bench (p.name, insts))
+          (oneofl W.Suites.all) (int_range 5_000 40_000) ])
+
+let trace_of = function
+  | Random l -> Repro_isa.Trace.of_list l
+  | Bench (name, insts) ->
+      W.Executor.trace (W.Executor.create ~insts (W.Suites.find name))
+
+let prop_measure_many_oracle =
+  QCheck.Test.make ~name:"fused measure_many == per-config sims (oracle)"
+    ~count:40
+    (QCheck.make
+       QCheck.Gen.(pair stream_gen config_list_gen)
+       ~print:(fun (stream, cfgs) ->
+         Printf.sprintf "%s over [%s]"
+           (match stream with
+           | Random l -> Printf.sprintf "<%d random insts>" (List.length l)
+           | Bench (n, k) -> Printf.sprintf "<%s, %d insts>" n k)
+           (String.concat "; " (List.map U.Frontend_config.name cfgs))))
+    (fun (stream, cfgs) ->
+      let trace = trace_of stream in
+      let expected = reference_measure_many cfgs trace in
+      let agrees src =
+        List.for_all2 measurement_equal expected
+          (U.Timing.measure_many cfgs src)
+      in
+      agrees (A.Tool.Source.of_trace trace)
+      && agrees
+           (A.Tool.Source.of_packed (Repro_isa.Packed_trace.of_trace trace)))
+
+let test_cmp_stream_wrapper_matches_source () =
+  let p = W.Suites.find "CoMD" in
+  let insts = 120_000 in
+  let src =
+    A.Tool.Source.of_packed (W.Executor.packed (W.Executor.create ~insts p))
+  in
+  List.iter
+    (fun configs ->
+      Alcotest.(check bool) "evals identical" true
+        (U.Cmp.evaluate_many ~insts configs p
+        = U.Cmp.evaluate_source configs p src))
+    [ U.Cmp.standard_configs; U.Cmp.learned_configs ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -181,6 +371,7 @@ let () =
          Alcotest.test_case "measure sections" `Quick test_timing_measure_sections;
          Alcotest.test_case "measure_many" `Quick
            test_timing_measure_many_consistent ]);
+      ("oracle", Qseed.all [ prop_measure_many_oracle ]);
       ("cmp",
        [ Alcotest.test_case "configs" `Quick test_cmp_configs;
          Alcotest.test_case "self relative" `Quick test_cmp_baseline_self_relative;
@@ -189,4 +380,6 @@ let () =
          Alcotest.test_case "sequential unaffected" `Quick
            test_cmp_sequential_unaffected_by_extra_cores;
          Alcotest.test_case "tailored hurts desktop" `Quick
-           test_cmp_tailored_masters_hurt_serial_code ]) ]
+           test_cmp_tailored_masters_hurt_serial_code;
+         Alcotest.test_case "stream wrapper == packed source" `Quick
+           test_cmp_stream_wrapper_matches_source ]) ]
