@@ -38,9 +38,9 @@ bench-json: build
 
 # Full CI gate: build everything, run the whole test suite (golden,
 # qcheck differential, packed-replay and fused-sweep tests included),
-# then regenerate BENCH_results.json over the trace-sweep figures —
-# whose entries carry the stream-vs-replay probe (stream_ms /
-# replay_ms / sweep_speedup) — and validate the emitted schema (v10).
+# then regenerate BENCH_results.json over the trace-sweep figures and
+# validate the emitted schema (v11; every figure replays the packed
+# capture, so the file carries no stream-vs-replay probe).
 # fig8p adds the learned block (lru_mpki / preuse_mpki /
 # crossover_size) to the file.
 ci: build
@@ -58,7 +58,7 @@ ci: build
 
 # Fault-torture gate: the tier-1 suite plus a bench sweep with every
 # fault site firing at 5% (seed 42). Supervision must absorb the
-# injected failures — the run completes, emits schema-v10 JSON that
+# injected failures — the run completes, emits schema-v11 JSON that
 # validates, and the injected-fault counter in the engine footer
 # proves the sites actually fired. The fresh cache directory also
 # exercises quarantine and torn-write recovery end to end.

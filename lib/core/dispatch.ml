@@ -93,8 +93,9 @@ let remote_enabled () = listen_spec () <> None
    (protocol rev, cache format, or workload catalogue) must be turned
    away with a typed reason at registration, not discovered later as
    silently divergent artifacts. Revision 2: task frames no longer
-   carry the sampling and fused-kernel toggles. *)
-let proto_version = 2
+   carry the sampling and fused-kernel toggles; revision 3: nor the
+   packed-capture toggle. *)
+let proto_version = 3
 
 let catalog_fingerprint () =
   Digest.to_hex
@@ -202,7 +203,8 @@ let exported_counters =
     "engine.tasks_failed"; "engine.tasks_timed_out"; "engine.busy_ns";
     "cache.hits"; "cache.misses"; "cache.read_bytes"; "cache.write_bytes";
     "cache.quarantined"; "faults.injected"; "experiment.holes";
-    "experiment.capture_fallbacks"; "dispatch.worker_tasks" ]
+    "experiment.capture_fallbacks"; "experiment.captures";
+    "experiment.capture_evictions"; "dispatch.worker_tasks" ]
 
 let bye_payload () =
   let counters =
@@ -216,10 +218,7 @@ let bye_payload () =
   J.to_string (J.Obj [ ("op", J.Str "bye"); ("counters", J.Obj counters) ])
 
 (* Execute one task frame through the ordinary Experiment machinery.
-   The frame carries the coordinator's packed toggle, so a worker always
-   computes under exactly the configuration the coordinator will
-   render under. Shared by the socketpair (local) and TCP (remote)
-   worker loops. *)
+   Shared by the socketpair (local) and TCP (remote) worker loops. *)
 let run_task_frame msg =
   let str k =
     match J.member k msg with Some (J.Str s) -> Some s | _ -> None
@@ -231,8 +230,6 @@ let run_task_frame msg =
     | Some f -> f
     | None -> 1.0
   in
-  Experiment.set_packed
-    (match J.member "packed" msg with Some (J.Bool b) -> b | _ -> true);
   let task = { Experiment.t_kind = kind; t_bench = bench } in
   let ok, err =
     match Experiment.run_task ~scale task with
@@ -978,8 +975,7 @@ let journal_name id = "dispatch-" ^ Experiment.to_string id
 let journal_fingerprint ~scale id =
   String.concat "|"
     ([ "dispatch1"; Experiment.to_string id; Printf.sprintf "%h" scale;
-       Cache.version;
-       (if Experiment.packed_enabled () then "p1" else "p0") ]
+       Cache.version ]
     @ List.map Experiment.task_id (Experiment.tasks_for id))
 
 (* ------------------------------------------------------------------ *)
@@ -1076,8 +1072,7 @@ let run_tasks ~scale ~name ~fingerprint tasks pool =
     J.to_string
       (J.Obj
          [ ("op", J.Str "task"); ("kind", J.Str t.Experiment.t_kind);
-           ("bench", J.Str t.Experiment.t_bench); ("scale", J.Num scale);
-           ("packed", J.Bool (Experiment.packed_enabled ())) ])
+           ("bench", J.Str t.Experiment.t_bench); ("scale", J.Num scale) ])
   in
   let grant pool =
     if not (draining ()) then

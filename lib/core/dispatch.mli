@@ -223,6 +223,6 @@ val journal_name : Experiment.id -> string
 
 val journal_fingerprint : scale:float -> Experiment.id -> string
 (** Fingerprint tying a dispatch journal to one (experiment, scale,
-    cache version, packed toggle, task list):
+    cache version, task list):
     any mismatch discards the journal rather than resuming the wrong
     run's completions. *)

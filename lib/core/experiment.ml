@@ -97,19 +97,6 @@ let scaled_insts (p : W.Profile.t) scale =
    and count nothing. *)
 let note_sim_insts n = Repro_util.Telemetry.add "experiment.sim_insts" n
 
-(* ------------------------------------------------------------------ *)
-(* Packed traces.
-
-   Every measured figure reads each (profile, scale) instruction
-   stream: the characterization behind figs 1-4, the sweeps of figs
-   5-9 over many hardware configurations, and the CMP evaluations of
-   figs 10, 10p and 11. Rather than re-running the generator on every
-   visit, the stream is captured once into a {!Repro_isa.Packed_trace}
-   and replayed. An LRU byte budget (REPRO_PACKED_MB, default 512)
-   keeps the resident set bounded; REPRO_PACKED=0 disables capture
-   entirely and REPRO_PACKED_CACHE=1 additionally persists captures
-   through {!Cache}. *)
-
 (* Environment toggles are re-read on use (tests flip them with
    [putenv], and the Server daemon's reload path re-reads them) but
    validated with a warning only once per variable, through the
@@ -117,16 +104,6 @@ let note_sim_insts n = Repro_util.Telemetry.add "experiment.sim_insts" n
    with the accepted forms and falls back to the default instead of
    being silently ignored. *)
 let env_flag name ~default = Repro_util.Env.flag ~name ~default
-
-let packed_override = ref None
-let set_packed b = packed_override := Some b
-
-let packed_enabled () =
-  match !packed_override with
-  | Some b -> b
-  | None -> env_flag "REPRO_PACKED" ~default:true
-
-let packed_cache () = env_flag "REPRO_PACKED_CACHE" ~default:false
 
 (* ------------------------------------------------------------------ *)
 (* Strict mode and degradation holes.
@@ -162,6 +139,20 @@ let record_hole where (fl : Failure.t) =
 
 let holes () = locked (fun () -> List.rev !holes_ref)
 let clear_holes () = locked (fun () -> holes_ref := [])
+
+(* ------------------------------------------------------------------ *)
+(* Packed traces.
+
+   Every measured figure reads each (profile, scale) instruction
+   stream: the characterization behind figs 1-4, the sweeps of figs
+   5-9 over many hardware configurations, and the CMP evaluations of
+   figs 10, 10p and 11. The stream is captured once into a
+   {!Repro_isa.Packed_trace} (~3.5 bytes per instruction) and every
+   figure replays it. An LRU byte budget (REPRO_PACKED_MB, default
+   512) keeps the resident set bounded; the 41 scale-1.0 captures fit
+   it. Each capture and each eviction bumps a telemetry counter
+   ([experiment.captures], [experiment.capture_evictions]), so a
+   memo that thrashes shows in the numbers. *)
 
 let packed_budget_bytes =
   lazy
@@ -208,12 +199,9 @@ let evict_packed ~keep =
     | None -> continue_ := false
     | Some (k, e) ->
         Hashtbl.remove packed_traces k;
-        packed_bytes := !packed_bytes - e.bytes
+        packed_bytes := !packed_bytes - e.bytes;
+        Repro_util.Telemetry.incr "experiment.capture_evictions"
   done
-
-let capture scale (p : W.Profile.t) =
-  let insts = scaled_insts p scale in
-  W.Executor.packed (W.Executor.create ~insts p)
 
 let packed_trace scale (p : W.Profile.t) =
   let key = (p.name, scale) in
@@ -230,11 +218,9 @@ let packed_trace scale (p : W.Profile.t) =
   | Some pt -> pt
   | None ->
       let pt =
-        if packed_cache () then
-          Cache.memoize (Cache.key ~profile:p ~scale ~kind:"ptrace") (fun () ->
-              capture scale p)
-        else capture scale p
+        W.Executor.packed (W.Executor.create ~insts:(scaled_insts p scale) p)
       in
+      Repro_util.Telemetry.incr "experiment.captures";
       let bytes = Repro_isa.Packed_trace.byte_size pt in
       locked (fun () ->
           if not (Hashtbl.mem packed_traces key) then begin
@@ -267,16 +253,11 @@ let clear_cache ?(disk = false) () =
 let source scale (p : W.Profile.t) =
   let insts = scaled_insts p scale in
   note_sim_insts insts;
-  let stream () =
-    A.Tool.Source.of_trace (W.Executor.trace (W.Executor.create ~insts p))
-  in
-  if not (packed_enabled ()) then stream ()
-  else
-    match packed_trace scale p with
-    | pt -> A.Tool.Source.of_packed pt
-    | exception Repro_util.Faults.Injected "trace.capture" ->
-        Repro_util.Telemetry.incr "experiment.capture_fallbacks";
-        stream ()
+  match packed_trace scale p with
+  | pt -> A.Tool.Source.of_packed pt
+  | exception Repro_util.Faults.Injected "trace.capture" ->
+      Repro_util.Telemetry.incr "experiment.capture_fallbacks";
+      A.Tool.Source.of_trace (W.Executor.trace (W.Executor.create ~insts p))
 
 let characterize scale (p : W.Profile.t) =
   let key = (p.name, scale) in
@@ -1303,34 +1284,32 @@ let prefetch ~jobs scale id =
     sup (fun p -> ignore (evaluate_cmps family scale p)) profiles
   in
   let traces profiles =
-    if packed_enabled () then begin
-      let uncached =
-        if not (Cache.enabled ()) then profiles
-        else begin
-          let missing : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-          List.iter
-            (fun { t_kind; t_bench } ->
-              if String.length t_kind > 4 && String.sub t_kind 0 4 = "row."
-              then
-                let tag = String.sub t_kind 4 (String.length t_kind - 4) in
-                match
-                  List.find_opt
-                    (fun (p : W.Profile.t) -> String.equal p.name t_bench)
-                    profiles
-                with
-                | Some p -> (
-                    match Cache.find (row_key ~tag ~scale p) with
-                    | Some _ -> ()
-                    | None -> Hashtbl.replace missing p.name ())
-                | None -> ())
-            (tasks_for id);
-          List.filter
-            (fun (p : W.Profile.t) -> Hashtbl.mem missing p.name)
-            profiles
-        end
-      in
-      sup (fun p -> ignore (packed_trace scale p)) uncached
-    end
+    let uncached =
+      if not (Cache.enabled ()) then profiles
+      else begin
+        let missing : (string, unit) Hashtbl.t = Hashtbl.create 16 in
+        List.iter
+          (fun { t_kind; t_bench } ->
+            if String.length t_kind > 4 && String.sub t_kind 0 4 = "row."
+            then
+              let tag = String.sub t_kind 4 (String.length t_kind - 4) in
+              match
+                List.find_opt
+                  (fun (p : W.Profile.t) -> String.equal p.name t_bench)
+                  profiles
+              with
+              | Some p -> (
+                  match Cache.find (row_key ~tag ~scale p) with
+                  | Some _ -> ()
+                  | None -> Hashtbl.replace missing p.name ())
+              | None -> ())
+          (tasks_for id);
+        List.filter
+          (fun (p : W.Profile.t) -> Hashtbl.mem missing p.name)
+          profiles
+      end
+    in
+    sup (fun p -> ignore (packed_trace scale p)) uncached
   in
   match id with
   | Fig1 | Fig2 | Tab1 | Fig3 | Fig4 -> charz W.Suites.all

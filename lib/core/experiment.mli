@@ -77,22 +77,18 @@ val strict_enabled : unit -> bool
 
 val clear_cache : ?disk:bool -> unit -> unit
 (** Drop memoized characterizations, measurements and packed traces;
-    with [~disk:true] also delete the persistent {!Cache} entries. *)
+    with [~disk:true] also delete the persistent {!Cache} entries.
 
-val set_packed : bool -> unit
-(** Enable or disable packed-trace capture for every measured figure
-    (the characterization of figs 1-4, the sweeps of figs 5-9, the
-    CMP evaluations of figs 10, 10p and 11). When enabled (the
-    default unless [REPRO_PACKED=0]), each (benchmark, scale) stream
-    is captured once into a {!Repro_isa.Packed_trace} and replayed by
-    every figure that measures it, under an LRU byte budget
-    ([REPRO_PACKED_MB], default 512); [REPRO_PACKED_CACHE=1]
-    additionally persists captures through {!Cache}. A capture that
-    hits the injected [trace.capture] fault streams that pass instead
-    (counted in [experiment.capture_fallbacks]). Results are
-    identical either way. *)
-
-val packed_enabled : unit -> bool
+    Every measured figure (the characterization of figs 1-4, the
+    sweeps of figs 5-9, the CMP evaluations of figs 10, 10p and 11)
+    replays one {!Repro_isa.Packed_trace} capture per (benchmark,
+    scale), held in a process-wide LRU memo under a byte budget
+    ([REPRO_PACKED_MB], default 512). Captures never reach the disk
+    cache. The telemetry counters [experiment.captures] and
+    [experiment.capture_evictions] count the memo's captures and
+    evictions; a capture that hits the injected [trace.capture] fault
+    streams that pass instead (counted in
+    [experiment.capture_fallbacks]), with identical results. *)
 
 (** {1 Task decomposition}
 
@@ -121,8 +117,7 @@ val tasks_for : id -> task list
     tables ([Tab2], [Tab3]). *)
 
 val run_task : scale:float -> task -> bool
-(** Execute one task under the current process-wide packed toggle,
-    storing its artifact in the {!Cache}.
+(** Execute one task, storing its artifact in the {!Cache}.
     Returns [false] for an unknown kind/tag or benchmark (a
     version-skewed coordinator), [true] otherwise — including tasks
     whose measurement degraded to a hole, which simply store nothing

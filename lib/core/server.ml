@@ -32,7 +32,7 @@ let current_config () =
     jobs = Engine.default_jobs ();
     sample = None;
     faults = Faults.spec ();
-    packed = Experiment.packed_enabled ();
+    packed = true;
     fused = true }
 
 let env_config () =
@@ -47,18 +47,20 @@ let env_config () =
     | None | Some "" -> None
     | Some s -> Some s
   in
-  { scale; jobs; sample = None; faults;
-    packed = Env.flag ~name:"REPRO_PACKED" ~default:true;
-    fused = true }
+  { scale; jobs; sample = None; faults; packed = true; fused = true }
 
-(* [sample] and [fused] name execution paths that no longer exist:
-   every sweep is exact and fused. The fields stay so existing callers
-   keep compiling, but a configuration asking for either removed path
-   is refused by name, never silently run on the exact path. *)
+(* [sample], [packed] and [fused] name execution paths that no longer
+   exist: every sweep is exact and fused, and every measured figure
+   replays the packed capture. The fields stay so existing callers
+   keep compiling, but a configuration asking for a removed path is
+   refused by name, never silently run on the remaining one. *)
 let removed_feature cfg =
   if cfg.sample <> None then
     Some "sample: representative-region sampling was removed; sweeps are \
           always exact"
+  else if not cfg.packed then
+    Some "packed=false: the streaming path was removed; every measured \
+          figure replays the packed capture"
   else if not cfg.fused then
     Some "fused=false: the unfused per-config sweep path was removed; \
           sweeps always run the fused kernels"
@@ -74,15 +76,13 @@ let check_config ~where cfg =
    spawned), so no request can observe a half-applied set. *)
 let apply_config cfg =
   Engine.set_default_jobs cfg.jobs;
-  Experiment.set_packed cfg.packed;
   Faults.configure cfg.faults
 
 let config_json cfg =
   Json.Obj
     [ ("scale", Json.Num cfg.scale);
       ("jobs", Json.Num (float_of_int cfg.jobs));
-      ("faults", (match cfg.faults with Some s -> Json.Str s | None -> Json.Null));
-      ("packed", Json.Bool cfg.packed) ]
+      ("faults", (match cfg.faults with Some s -> Json.Str s | None -> Json.Null)) ]
 
 (* ------------------------------------------------------------------ *)
 (* Server state                                                       *)

@@ -32,7 +32,7 @@
     {2 Zero-downtime reload}
 
     A [reload] request — or, in the CLI wrapper, [SIGHUP] — swaps the
-    active configuration (scale, jobs, fault spec, packed toggle)
+    active configuration (scale, jobs, fault spec)
     atomically with respect to request
     dispatch: the reloader waits for in-flight requests to drain
     (new arrivals park at the gate), applies the new configuration to
@@ -58,15 +58,17 @@ type config = {
   sample : float option;
       (** must be [None]: representative-region sampling was removed *)
   faults : string option;  (** {!Repro_util.Faults.configure} spec *)
-  packed : bool;  (** packed-trace capture ({!Experiment.set_packed}) *)
+  packed : bool;
+      (** must be [true]: the streaming path was removed; every
+          measured figure replays the packed capture *)
   fused : bool;
       (** must be [true]: the unfused sweep path was removed *)
 }
-(** [sample] and [fused] survive only so that callers building the
-    record literally keep compiling. {!start} and {!reload} raise
-    [Invalid_argument] naming the removed feature when [sample] is
-    [Some _] or [fused] is [false]; a [reload] request carrying
-    either is answered [ok:false]. *)
+(** [sample], [packed] and [fused] survive only so that callers
+    building the record literally keep compiling. {!start} and
+    {!reload} raise [Invalid_argument] naming the removed feature when
+    [sample] is [Some _], [packed] is [false] or [fused] is [false]; a
+    [reload] request carrying any of them is answered [ok:false]. *)
 
 val current_config : unit -> config
 (** Snapshot of the process-wide toggles as they are now — what a
@@ -76,7 +78,7 @@ val current_config : unit -> config
 
 val env_config : unit -> config
 (** Rebuild the configuration from the current environment
-    ([REPRO_SCALE], [REPRO_JOBS], [REPRO_FAULTS], [REPRO_PACKED]),
+    ([REPRO_SCALE], [REPRO_JOBS], [REPRO_FAULTS]),
     through the audited
     {!Repro_util.Env} readers. This is the [SIGHUP] reload source. *)
 

@@ -4,9 +4,14 @@
    observationally identical to the stream it was built from — full
    replay, the filtered conditional/redirect replays, the bulk section
    counts, characterizations and per-address footprint tables built
-   from it (Marshal byte-identity),
-   and every trace-simulating experiment's rendered tables, across
-   sequential and parallel engine runs and through the disk cache. *)
+   from it (Marshal byte-identity), and every trace-simulating
+   experiment's rendered tables, across sequential and parallel engine
+   runs. The encoding stores addresses only where the stream is not
+   predictable, so it is checked both on streams where every address
+   is a discontinuity and on realistic streams where almost none is.
+   The capture is also held to its memory contract: an honest
+   [byte_size], at most 4 bytes per instruction over the 41 scale-1.0
+   benchmarks, and an allocation-free replay. *)
 
 module I = Repro_isa.Inst
 module S = Repro_isa.Section
@@ -104,6 +109,94 @@ let prop_marshal_roundtrip =
       let pt' : P.t = Marshal.from_string (Marshal.to_string pt []) 0 in
       collect (P.replay pt') = List.map fields insts)
 
+(* Realistic streams: each address is the previous instruction's
+   taken target, else its fall-through, except where a discontinuity
+   is forced — at chunk position 0, right after a taken branch, after
+   a syscall and across the warmup boundary (plus a rare random one).
+   Not-taken conditionals carry a nonzero target, as the executor's
+   do. Addresses stay below the executor's kernel pc. *)
+
+let branch_kinds = Array.sub kinds 1 (Array.length kinds - 1)
+
+let realistic_gen st =
+  let open QCheck.Gen in
+  let cap = int_range 1 64 st and n = int_range 0 400 st in
+  let fresh () = int_bound 0x7000_0000 st in
+  let warmup_len = int_bound n st in
+  let pc = ref (fresh ()) and prev = ref (I.Plain, false) in
+  let parallel = ref false and acc = ref [] in
+  for i = 0 to n - 1 do
+    let jump =
+      (i mod cap = 0 && bool st)
+      || (i = warmup_len && i > 0)
+      || (match !prev with
+         | I.Syscall, _ -> bool st
+         | _, true -> int_bound 3 st = 0
+         | _ -> false)
+      || int_bound 50 st = 0
+    in
+    let addr = if jump then (!pc + 1 + fresh ()) mod 0x7000_0000 else !pc in
+    let size = int_range 1 15 st in
+    let kind =
+      if int_bound 7 st > 0 then I.Plain
+      else branch_kinds.(int_bound (Array.length branch_kinds - 1) st)
+    in
+    let taken =
+      match kind with
+      | I.Plain -> false
+      | I.Cond_branch -> bool st
+      | _ -> true
+    in
+    let target =
+      match kind with
+      | I.Plain -> 0
+      | I.Syscall -> 0x7000_0000
+      | _ -> 1 + fresh ()
+    in
+    if int_bound 20 st = 0 then parallel := not !parallel;
+    acc :=
+      I.make ~kind ~taken ~target
+        ~section:(if !parallel then S.Parallel else S.Serial)
+        ~warmup:(i < warmup_len) ~addr ~size ()
+      :: !acc;
+    prev := (kind, taken);
+    pc := if taken then target else addr + size
+  done;
+  (cap, List.rev !acc)
+
+let realistic_arb =
+  QCheck.make realistic_gen ~print:(fun (cap, l) ->
+      Printf.sprintf "cap %d, <%d insts>%s" cap (List.length l)
+        (String.concat ""
+           (List.map (fun i -> Format.asprintf "@.%a" I.pp i) l)))
+
+(* Every read of [pt] equals the stream [insts]. *)
+let replays_stream pt insts =
+  let conds = List.filter (fun (i : I.t) -> i.kind = I.Cond_branch) insts
+  and redirects =
+    List.filter
+      (fun (i : I.t) ->
+        i.taken && I.is_branch i && i.kind <> I.Syscall && i.kind <> I.Return)
+      insts
+  in
+  let count sec =
+    List.length
+      (List.filter (fun (i : I.t) -> (not i.warmup) && i.section = sec) insts)
+  in
+  P.length pt = List.length insts
+  && collect (P.replay pt) = List.map fields insts
+  && collect (fun f -> Trace.iter (P.to_trace pt) f) = List.map fields insts
+  && collect (P.replay_conditionals pt) = List.map fields conds
+  && collect (P.replay_redirects pt) = List.map fields redirects
+  && P.counted pt = (count S.Serial, count S.Parallel)
+
+let prop_realistic_roundtrip =
+  QCheck.Test.make ~name:"realistic streams: every read == stream"
+    ~count:300 realistic_arb (fun (cap, insts) ->
+      let pt = P.of_trace ~chunk_capacity:cap (Trace.of_list insts) in
+      let pt' : P.t = Marshal.from_string (Marshal.to_string pt []) 0 in
+      replays_stream pt insts && replays_stream pt' insts)
+
 let test_size_validation () =
   let bad size =
     let tr = Trace.of_list [ I.make ~addr:0 ~size () ] in
@@ -120,6 +213,70 @@ let test_size_validation () =
     (match Trace.to_list (P.to_trace (P.of_trace tr)) with
     | [ i ] -> i.I.size
     | _ -> -1)
+
+(* The 32-bit address columns and 16-bit chunk positions reject what
+   they cannot hold, like the size byte does; the largest values that
+   fit survive. *)
+let test_column_validation () =
+  let addr_msg = "Packed_trace.of_trace: address outside 0..0xFFFFFFFF" in
+  List.iter
+    (fun i ->
+      Alcotest.check_raises "address rejected" (Invalid_argument addr_msg)
+        (fun () -> ignore (P.of_trace (Trace.of_list [ i ]))))
+    [ I.make ~addr:0x1_0000_0000 ~size:1 ();
+      I.make ~addr:(-1) ~size:1 ();
+      I.make ~kind:I.Call ~taken:true ~target:0x1_0000_0000 ~addr:0 ~size:1 ()
+    ];
+  let edge =
+    [ I.make ~kind:I.Call ~taken:true ~target:0xFFFF_FFFF ~addr:0xFFFF_FFFF
+        ~size:4 () ]
+  in
+  Alcotest.(check bool) "0xFFFFFFFF survives" true
+    (collect (P.replay (P.of_trace (Trace.of_list edge)))
+     = List.map fields edge);
+  let cap_msg = "Packed_trace.of_trace: chunk capacity outside 1..65536" in
+  List.iter
+    (fun cap ->
+      Alcotest.check_raises "chunk capacity rejected"
+        (Invalid_argument cap_msg) (fun () ->
+          ignore (P.of_trace ~chunk_capacity:cap Trace.empty)))
+    [ 0; 65537 ];
+  ignore (P.of_trace ~chunk_capacity:65536 Trace.empty)
+
+(* A real benchmark, long enough for several full chunks. *)
+let real_capture () =
+  W.Executor.packed (W.Executor.create ~insts:200_000 (W.Suites.find "CoMD"))
+
+(* [byte_size] feeds the memo's byte budget and the bench's capture
+   size, so it must match the heap the capture really holds. *)
+let test_byte_size_honest () =
+  let pt = real_capture () in
+  let heap = 8 * Obj.reachable_words (Obj.repr pt) in
+  let est = P.byte_size pt in
+  if abs (est - heap) * 10 > heap then
+    Alcotest.failf "byte_size %d vs reachable %d bytes" est heap;
+  if est > 4 * P.length pt then
+    Alcotest.failf "%d bytes for %d instructions (> 4 B/inst)" est
+      (P.length pt)
+
+(* Replay reuses one record: the minor heap must not grow with the
+   stream, for the full replay and for both filtered ones. *)
+let test_replay_allocation_free () =
+  let pt = real_capture () in
+  Alcotest.(check bool) "100k+ instructions" true (P.length pt >= 100_000);
+  let sink = ref 0 in
+  let consume (i : I.t) = sink := !sink + i.addr in
+  List.iter
+    (fun (name, replay) ->
+      let before = Gc.minor_words () in
+      replay pt consume;
+      let words = Gc.minor_words () -. before in
+      if words > 1000.0 then
+        Alcotest.failf "%s allocated %.0f minor words" name words)
+    [ ("replay", P.replay);
+      ("replay_conditionals", P.replay_conditionals);
+      ("replay_redirects", P.replay_redirects) ];
+  ignore (Sys.opaque_identity !sink)
 
 (* ------------------------------------------------------------------ *)
 (* Capture of a real workload == its streaming trace, and the
@@ -156,24 +313,41 @@ let test_executor_capture () =
 
 (* ------------------------------------------------------------------ *)
 (* Every trace-simulating experiment renders byte-identical tables
-   with packed replay on and off, sequentially and in parallel. *)
+   from the packed capture, sequentially and in parallel, as from the
+   stream. The stream reference is the production fallback: with the
+   [trace.capture] fault site firing on every capture, each pass
+   streams its trace instead. *)
 
 let sweep_ids = C.Experiment.[ Fig5; Fig6; Fig7; Fig8; Fig9 ]
 
-let render ~packed ~jobs id =
-  C.Experiment.set_packed packed;
+module T = Repro_util.Telemetry
+
+let render ~jobs id =
   C.Experiment.clear_cache ();
+  C.Report.run_to_string ~scale:0.02 ~jobs id
+
+let streamed id =
+  let was = T.enabled () in
+  T.set_enabled true;
+  Repro_util.Faults.configure (Some "trace.capture:1.0:1");
+  let fallbacks0 = T.counter "experiment.capture_fallbacks" in
   Fun.protect
-    ~finally:(fun () -> C.Experiment.set_packed true)
-    (fun () -> C.Report.run_to_string ~scale:0.02 ~jobs id)
+    ~finally:(fun () ->
+      Repro_util.Faults.configure None;
+      T.set_enabled was)
+    (fun () ->
+      let text = render ~jobs:1 id in
+      Alcotest.(check bool) "reference streamed" true
+        (T.counter "experiment.capture_fallbacks" > fallbacks0);
+      text)
 
 let test_sweeps_identical id () =
   C.Cache.set_enabled false;
-  let reference = render ~packed:false ~jobs:1 id in
+  let reference = streamed id in
   Alcotest.(check string) "packed -j1 == streaming -j1" reference
-    (render ~packed:true ~jobs:1 id);
+    (render ~jobs:1 id);
   Alcotest.(check string) "packed -j4 == streaming -j1" reference
-    (render ~packed:true ~jobs:4 id)
+    (render ~jobs:4 id)
 
 (* ------------------------------------------------------------------ *)
 (* Static branch-prediction engines (Always_taken / Always_not_taken /
@@ -235,40 +409,59 @@ let prop_static_engines =
         (List.combine streamed packed))
 
 (* ------------------------------------------------------------------ *)
-(* Disk persistence: with REPRO_PACKED_CACHE=1 a capture written by
-   one run is read back by the next and replays identically. *)
+(* The capture memo. A cold report captures each benchmark once and,
+   with every capture inside the byte budget, never evicts; the
+   counters are what make a thrashing memo visible. *)
 
-let test_disk_persistence () =
-  let dir = "packed_cache_dir" in
-  C.Cache.set_dir dir;
-  C.Cache.set_enabled true;
-  Unix.putenv "REPRO_PACKED_CACHE" "1";
+let test_cold_report_captures () =
+  C.Cache.set_enabled false;
+  C.Experiment.clear_cache ();
+  let was = T.enabled () in
+  T.set_enabled true;
+  let captures0 = T.counter "experiment.captures"
+  and evictions0 = T.counter "experiment.capture_evictions" in
   Fun.protect
     ~finally:(fun () ->
-      Unix.putenv "REPRO_PACKED_CACHE" "0";
-      C.Experiment.clear_cache ~disk:true ();
-      C.Cache.set_enabled false;
-      try Sys.rmdir dir with Sys_error _ -> ())
-    (fun () ->
-      C.Experiment.set_packed true;
-      C.Experiment.clear_cache ();
-      let cold = C.Report.run_to_string ~scale:0.02 ~jobs:1 C.Experiment.Fig7 in
-      (* Drop the in-process memo; the second run must be served by the
-         persistent cache and still render the same bytes. *)
-      C.Experiment.clear_cache ();
-      let hits0 = (C.Engine.stats ()).cache_hits in
-      let warm = C.Report.run_to_string ~scale:0.02 ~jobs:1 C.Experiment.Fig7 in
-      Alcotest.(check string) "warm == cold" cold warm;
-      Alcotest.(check bool) "captures served from disk" true
-        ((C.Engine.stats ()).cache_hits > hits0))
+      T.set_enabled was;
+      C.Experiment.clear_cache ())
+    (fun () -> ignore (C.Report.run_all_to_string ~scale:0.05 ~jobs:2 ()));
+  Alcotest.(check int) "one capture per benchmark"
+    (List.length W.Suites.all)
+    (T.counter "experiment.captures" - captures0);
+  Alcotest.(check int) "no evictions" 0
+    (T.counter "experiment.capture_evictions" - evictions0)
+
+(* Every scale-1.0 capture together fits the default 512 MiB budget
+   at no more than 4 bytes per instruction. One capture is resident
+   at a time. *)
+let test_full_scale_budget () =
+  let bytes, insts =
+    List.fold_left
+      (fun (bytes, insts) (p : W.Profile.t) ->
+        let pt =
+          W.Executor.packed
+            (W.Executor.create ~insts:(max 50_000 p.total_insts) p)
+        in
+        (bytes + P.byte_size pt, insts + P.length pt))
+      (0, 0) W.Suites.all
+  in
+  if bytes > 512 * 1024 * 1024 || bytes > 4 * insts then
+    Alcotest.failf "%d bytes for %d instructions (%.2f B/inst)" bytes insts
+      (float_of_int bytes /. float_of_int insts)
 
 let () =
   Alcotest.run "packed"
     [ ("encoding",
        Qseed.all
          [ prop_replay_identity; prop_filtered_replays; prop_counted;
-           prop_marshal_roundtrip ]
-       @ [ Alcotest.test_case "size validation" `Quick test_size_validation ]);
+           prop_marshal_roundtrip; prop_realistic_roundtrip ]
+       @ [ Alcotest.test_case "size validation" `Quick test_size_validation;
+           Alcotest.test_case "column validation" `Quick
+             test_column_validation;
+           Alcotest.test_case "byte_size is the heap footprint" `Quick
+             test_byte_size_honest;
+           Alcotest.test_case "replay allocates nothing" `Quick
+             test_replay_allocation_free ]);
       ("capture",
        [ Alcotest.test_case "executor capture" `Slow test_executor_capture ]);
       ("statics", Qseed.all [ prop_static_engines ]);
@@ -278,6 +471,8 @@ let () =
            Alcotest.test_case (C.Experiment.to_string id) `Slow
              (test_sweeps_identical id))
          sweep_ids);
-      ("persistence",
-       [ Alcotest.test_case "disk cache round-trip" `Slow
-           test_disk_persistence ]) ]
+      ("memo",
+       [ Alcotest.test_case "cold report: 41 captures, 0 evictions" `Slow
+           test_cold_report_captures;
+         Alcotest.test_case "scale-1.0 captures fit the budget" `Slow
+           test_full_scale_budget ]) ]

@@ -32,7 +32,6 @@ let with_server ?(workers = 4) f =
       (try Sys.rmdir cache_dir with Sys_error _ -> ());
       C.Cache.set_dir was_dir;
       C.Cache.set_enabled was_enabled;
-      C.Experiment.set_packed true;
       Repro_util.Faults.configure None)
     (fun () -> f (t, sock))
 
@@ -226,8 +225,9 @@ let test_reload_semantics () =
           Alcotest.(check bool) "bad reload rejected" true
             (field "ok" bad = J.Bool false);
           Alcotest.(check int) "generation unchanged" 0 (S.generation t);
-          (* sampling and the unfused path are gone: asking for either
-             is refused by name, never applied as a silent no-op *)
+          (* sampling, streaming and the unfused path are gone: asking
+             for any of them is refused by name, never applied as a
+             silent no-op *)
           List.iter
             (fun (name, v) ->
               let r = request conn (J.Obj [ ("op", J.Str "reload"); (name, v) ]) in
@@ -240,7 +240,8 @@ let test_reload_semantics () =
               | _ -> Alcotest.fail "error is not a string");
               Alcotest.(check int) (name ^ ": generation unchanged") 0
                 (S.generation t))
-            [ ("sample", J.Num 0.25); ("fused", J.Bool false) ];
+            [ ("sample", J.Num 0.25); ("packed", J.Bool false);
+              ("fused", J.Bool false) ];
           (* a good reload bumps the generation and echoes the config *)
           let r =
             request conn
@@ -275,6 +276,7 @@ let test_start_rejects_removed () =
           Alcotest.(check bool) (what ^ ": nothing bound") false
             (Sys.file_exists "_server_test_rejected.sock"))
     [ ("sample", { (S.current_config ()) with S.sample = Some 0.25 });
+      ("packed=false", { (S.current_config ()) with S.packed = false });
       ("fused=false", { (S.current_config ()) with S.fused = false }) ]
 
 (* The property the quiesce gate exists for: under a storm of
