@@ -471,7 +471,7 @@ let () =
            Alcotest.test_case (C.Experiment.to_string id) `Slow
              (test_sweeps_identical id))
          sweep_ids);
-      ("memo",
+      ("memoization",
        [ Alcotest.test_case "cold report: 41 captures, 0 evictions" `Slow
            test_cold_report_captures;
          Alcotest.test_case "scale-1.0 captures fit the budget" `Slow
