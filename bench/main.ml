@@ -641,7 +641,16 @@ let check_json ?(expect_serve = false) ?(expect_dist = false)
          the swept power-of-two capacities. *)
       (match J.member "learned" doc with
       | None -> fail "top-level \"learned\" field missing"
-      | Some J.Null -> ()
+      | Some J.Null ->
+          (* fig8p ran clean, so the summary over its rows exists. *)
+          let fig8p_ok row =
+            J.member "id" row = Some (J.Str "fig8p")
+            && J.member "status" row = Some (J.Str "ok")
+          in
+          (match J.member "experiments" doc with
+          | Some (J.Arr rows) when List.exists fig8p_ok rows ->
+              fail "\"learned\" is null but an ok fig8p row is recorded"
+          | _ -> ())
       | Some (J.Obj _ as l) ->
           let lnum name =
             match J.member name l with
@@ -772,7 +781,8 @@ let check_json ?(expect_serve = false) ?(expect_dist = false)
               let probe_field name =
                 match J.member name row with
                 | Some (J.Num _) -> `Num
-                | None | Some J.Null -> `Null
+                | Some J.Null -> `Null
+                | None -> fail "%s: field %S missing" id name
                 | Some _ -> fail "field %S is neither number nor null" name
               in
               let status_ok =
