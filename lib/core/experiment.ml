@@ -957,6 +957,51 @@ let fig8p ~jobs scale =
       ~title:"Fig 8p (headline): 16KB preuse vs 32KB LRU (64B, 4-way)"
       ~configs:fig8ph_cfgs ~benchmarks:[] scale true ]
 
+type learned = {
+  lru_mpki : float;
+  preuse_mpki : float;
+  crossover_size : int option;
+}
+
+let learned_sizes = [ 8192; 16384; 32768 ]
+
+(* Read back from fig8p's own rows, so a bench that just rendered
+   fig8p pays nothing but cache reads (or, with the disk cache off, a
+   replay of the memoized captures). *)
+let learned ?jobs ~scale () =
+  let jobs =
+    match jobs with Some j -> j | None -> Engine.default_jobs ()
+  in
+  let rows ~tag ~configs =
+    let per_bench =
+      rows_cached ~tag ~scale W.Suites.all
+        (icache_rows ~jobs ~where:"learned" ~configs scale)
+    in
+    let oks = List.filter_map Result.to_option per_bench in
+    if List.length oks = List.length per_bench then Some oks else None
+  in
+  match
+    ( rows ~tag:fig8ph_tag ~configs:fig8ph_cfgs,
+      rows ~tag:fig8p_tag ~configs:fig8p_cfgs )
+  with
+  | Some headline, Some sweep ->
+      let n = float_of_int (List.length W.Suites.all) in
+      let mean i rows = List.fold_left (fun acc r -> acc +. r.(i)) 0.0 rows /. n in
+      let lru_mpki = mean 0 headline in
+      let preuse_4way size =
+        let rec index i = function
+          | p :: rest -> if p = (size, 64, 4) then i else index (i + 1) rest
+          | [] -> invalid_arg "Experiment.learned: size not swept"
+        in
+        mean (index 0 fig8_points) sweep
+      in
+      Some
+        { lru_mpki;
+          preuse_mpki = mean 1 headline;
+          crossover_size =
+            List.find_opt (fun s -> preuse_4way s <= lru_mpki) learned_sizes }
+  | _ -> None
+
 let fig9 ~jobs scale =
   let mpki_tbl =
     icache_table ~jobs ~tag:fig9_tag ~where:"fig9"

@@ -61,6 +61,22 @@ val run : ?scale:float -> ?jobs:int -> id -> Repro_util.Table.t list
     strict mode the first such failure raises {!Failure.Error}
     instead. *)
 
+(** The fig8p question in numbers: does a 16KB/64B/4-way I-cache under
+    perceptron reuse/bypass replacement beat the 32KB/64B/4-way LRU
+    baseline? Each MPKI is the mean over every benchmark. *)
+type learned = {
+  lru_mpki : float;  (** 32KB LRU reference *)
+  preuse_mpki : float;  (** 16KB preuse *)
+  crossover_size : int option;
+      (** the smallest preuse size of 8K, 16K and 32K (4-way) whose
+          mean MPKI does not exceed [lru_mpki]; [None] when none does *)
+}
+
+val learned : ?jobs:int -> scale:float -> unit -> learned option
+(** Computed from fig8p's persistent rows (the headline pair and the
+    4-way column of the sweep), read through the {!Cache} like a
+    render of fig8p. [None] when any of those rows is a hole. *)
+
 val holes : unit -> (string * Failure.t) list
 (** Degradation holes recorded by the most recent {!run} (cleared at
     the start of each run): [(measurement, failure)] in the order
