@@ -13,21 +13,22 @@ let () =
   let bench = try Sys.argv.(1) with _ -> "CoMD" in
   let insts = try int_of_string Sys.argv.(2) with _ -> 600_000 in
   let p = W.Suites.find bench in
-  let ex = W.Executor.create ~insts p in
-  let trace = W.Executor.trace ex in
+  let src =
+    A.Tool.Source.of_packed (W.Executor.packed (W.Executor.create ~insts p))
+  in
 
-  (* One pass: learnability, working set, reuse distances, and the
-     fetch pipeline under both configurations. *)
+  (* One capture, replayed twice: a pass for learnability, reuse
+     distances and the fetch pipeline under both configurations, and
+     a fused sweep for the working-set curve. *)
   let pred = A.Predictability.create () in
-  let ws = A.Working_set.create () in
   let rd = A.Reuse_distance.create () in
   let pipe_base = U.Fetch_pipeline.create U.Frontend_config.baseline in
   let pipe_tail = U.Fetch_pipeline.create U.Frontend_config.tailored in
-  A.Tool.run_all trace
-    [ A.Predictability.observer pred; A.Working_set.observer ws;
-      A.Reuse_distance.observer rd;
+  A.Tool.run_all_source src
+    [ A.Predictability.observer pred; A.Reuse_distance.observer rd;
       U.Fetch_pipeline.observer pipe_base;
       U.Fetch_pipeline.observer pipe_tail ];
+  let curve = A.Working_set.curve src in
 
   Printf.printf "=== %s (%s) ===\n\n" bench (W.Suite.to_string p.suite);
 
@@ -43,8 +44,8 @@ let () =
   List.iter
     (fun (size, mpki) ->
       Printf.printf "  %-6s %6.2f MPKI\n" (Repro_util.Units.pp_bytes size) mpki)
-    (A.Working_set.curve ws);
-  (match A.Working_set.knee ws () with
+    curve;
+  (match A.Working_set.knee curve with
   | Some k -> Printf.printf "  knee: %s\n\n" (Repro_util.Units.pp_bytes k)
   | None -> print_endline "  knee: beyond 128KB\n");
 

@@ -5,23 +5,25 @@
 
 module W = Repro_workload
 module A = Repro_analysis
-module F = Repro_frontend
 
 let () =
   (* 1. Pick a calibrated benchmark profile and build its executable
         program (a synthetic code image plus an interpreter). *)
   let profile = W.Suites.find "FT" in
   let executor = W.Executor.create ~insts:500_000 profile in
-  let trace = W.Executor.trace executor in
 
-  (* 2. Attach "pintools" and run the trace once through all of them. *)
+  (* 2. Capture the dynamic trace once, like one Pin run, and replay
+        it through the "pintools" and a fused sweep of two branch
+        predictors. *)
+  let src = A.Tool.Source.of_packed (W.Executor.packed executor) in
   let mix = A.Branch_mix.create () in
   let bias = A.Branch_bias.create () in
-  let small = A.Bp_sim.create (F.Zoo.gshare_small ()) in
-  let small_lbp = A.Bp_sim.create (F.Zoo.with_loop (F.Zoo.gshare_small ())) in
-  A.Tool.run_all trace
-    [ A.Branch_mix.observer mix; A.Branch_bias.observer bias;
-      A.Bp_sim.observer small; A.Bp_sim.observer small_lbp ];
+  A.Tool.run_all_source src
+    [ A.Branch_mix.observer mix; A.Branch_bias.observer bias ];
+  let bp =
+    A.Bp_sweep.run src
+      (Array.map A.Bp_sweep.of_name [| "gshare-small"; "L-gshare-small" |])
+  in
 
   (* 3. Read the results. *)
   let total = A.Branch_mix.Total in
@@ -32,8 +34,8 @@ let () =
     (100.0 *. A.Branch_mix.branch_fraction mix total);
   Printf.printf "biased branches  : %.0f%% of dynamic conditionals\n"
     (100.0 *. A.Branch_bias.biased_fraction bias total);
-  Printf.printf "gshare-2KB MPKI  : %.2f\n" (A.Bp_sim.mpki small total);
-  Printf.printf "  + loop BP MPKI : %.2f\n" (A.Bp_sim.mpki small_lbp total);
+  Printf.printf "gshare-2KB MPKI  : %.2f\n" (A.Bp_sweep.mpki bp.(0) total);
+  Printf.printf "  + loop BP MPKI : %.2f\n" (A.Bp_sweep.mpki bp.(1) total);
   print_endline
     "\nThe loop predictor recovers most of the small predictor's losses on\n\
      loop-dominated HPC code - the core observation behind the paper's\n\

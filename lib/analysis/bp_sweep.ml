@@ -1,9 +1,14 @@
 module Inst = Repro_isa.Inst
 module F = Repro_frontend
 
+type static = Always_taken | Always_not_taken | Btfn
+type cause = On_not_taken | On_taken_backward | On_taken_forward
+
+let causes = [ On_not_taken; On_taken_backward; On_taken_forward ]
+
 type spec =
   | Named of { name : string; loop : bool; core : F.Zoo.core }
-  | Static of Bp_sim.static
+  | Static of static
 
 let of_spec ~name (s : F.Zoo.spec) =
   Named { name; loop = s.loop; core = s.core }
@@ -14,9 +19,9 @@ let of_static s = Static s
 
 let spec_name = function
   | Named { name; _ } -> name
-  | Static Bp_sim.Always_taken -> "static-taken"
-  | Static Bp_sim.Always_not_taken -> "static-not-taken"
-  | Static Bp_sim.Btfn -> "static-btfn"
+  | Static Always_taken -> "static-taken"
+  | Static Always_not_taken -> "static-not-taken"
+  | Static Btfn -> "static-btfn"
 
 (* Runtime engine per configuration. The gshare family is lowered to
    a bare counter table plus an index mask: the global history
@@ -31,7 +36,7 @@ type engine =
       lbp : F.Loop_predictor.t option;
     }
   | Closure of F.Predictor.t
-  | Static_e of Bp_sim.static
+  | Static_e of static
 
 let realize = function
   | Named { loop; core; _ } -> (
@@ -78,7 +83,7 @@ let run src specs =
   let conds_s = ref 0 and conds_p = ref 0 in
   let ghr = ref 0 in
   (* One conditional branch, all configs; the history push is hoisted
-     out of the per-config loop. Mirrors [Bp_sim.feed_conditional]. *)
+     out of the per-config loop. *)
   let feed_cond (i : Inst.t) =
     let pcx = i.addr lsr 1 in
     if i.warmup then
@@ -115,9 +120,9 @@ let run src specs =
               | Some d -> d
               | None -> F.Counter.is_taken table idx)
           | Closure p -> p.F.Predictor.predict i.addr
-          | Static_e Bp_sim.Always_taken -> true
-          | Static_e Bp_sim.Always_not_taken -> false
-          | Static_e Bp_sim.Btfn -> i.target < i.addr
+          | Static_e Always_taken -> true
+          | Static_e Always_not_taken -> false
+          | Static_e Btfn -> i.target < i.addr
         in
         if pred <> i.taken then begin
           let j = (k * cells) + cell in
@@ -172,9 +177,9 @@ let insts t scope = scope_pair t.insts_s t.insts_p scope
 let conditional_branches t scope = scope_pair t.conds_s t.conds_p scope
 
 let cause_base = function
-  | Bp_sim.On_not_taken -> 0
-  | Bp_sim.On_taken_backward -> 2
-  | Bp_sim.On_taken_forward -> 4
+  | On_not_taken -> 0
+  | On_taken_backward -> 2
+  | On_taken_forward -> 4
 
 let misses_of_cause t cause scope =
   let b = cause_base cause in
@@ -183,7 +188,7 @@ let misses_of_cause t cause scope =
 let mispredictions t scope =
   List.fold_left
     (fun acc c -> acc + misses_of_cause t c scope)
-    0 Bp_sim.causes
+    0 causes
 
 let mpki t scope =
   let n = insts t scope in

@@ -51,7 +51,7 @@ let run src configs =
   let insts_s = ref 0 and insts_p = ref 0 in
   let taken_s = ref 0 and taken_p = ref 0 in
   (* One fetch redirect (taken non-syscall/non-return branch), all
-     configs. Mirrors [Btb_sim.feed_redirect]. *)
+     configs. *)
   let feed_redirect (i : Inst.t) =
     let pcx = i.addr lsr 1 in
     for g = 0 to ngeo - 1 do

@@ -1,22 +1,29 @@
 (** Fused multi-configuration I-cache sweep (paper Figs. 8 and 9):
     every (size, line, associativity) point simulated in one pass.
 
-    The sequential-extraction model's access-vs-extract decision —
-    "does this instruction leave the line being fetched?" — depends
-    only on the instruction stream and the line size, never on cache
-    contents. Configurations are therefore grouped by line size: the
-    instruction's line span, the decision, and the current-fetch-line
-    register are computed once per group per instruction, and on the
-    (dominant) same-line path the consumed-granule bitmask is
-    precomputed once and or'd into every member cache through
-    {!Repro_frontend.Icache.consume_line}. Results are bit-identical
-    to per-config {!Icache_sim} runs (pinned by the qcheck differential
-    in [test/test_sweep.ml]).
+    Fetch is modelled as the paper describes it: instructions are
+    extracted sequentially from the current line without re-accessing
+    the cache until the run crosses into a new line (sequentially or
+    via a taken branch); each new line is one cache access. Line
+    usefulness (consumed bytes per fetched line) is reported by the
+    underlying {!Repro_frontend.Icache}. Warmup instructions warm the
+    caches uncounted.
+
+    The access-vs-extract decision — "does this instruction leave the
+    line being fetched?" — depends only on the instruction stream and
+    the line size, never on cache contents. Configurations are
+    therefore grouped by line size: the instruction's line span, the
+    decision, and the current-fetch-line register are computed once
+    per group per instruction, and on the (dominant) same-line path
+    the consumed-granule bitmask is precomputed once and or'd into
+    every member cache through {!Repro_frontend.Icache.consume_line}.
+    [test/test_sweep.ml] pins every result against an independent
+    per-configuration simulator.
 
     Runs under a [sweep.fused] telemetry span. *)
 
 type t
-(** Per-configuration result; accessors mirror {!Icache_sim}. *)
+(** Per-configuration result. *)
 
 type config = {
   size_bytes : int;

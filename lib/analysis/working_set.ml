@@ -1,26 +1,17 @@
-type t = { rungs : (int * Icache_sim.t) list }
+let default_sizes = [ 2048; 4096; 8192; 16384; 32768; 65536; 131072 ]
 
-let default_sizes =
-  [ 2048; 4096; 8192; 16384; 32768; 65536; 131072 ]
+let curve ?(sizes = default_sizes) ?(line_bytes = 64) ?(assoc = 4) src =
+  if sizes = [] then invalid_arg "Working_set.curve: no sizes";
+  let sizes = List.sort_uniq compare sizes in
+  let results =
+    Icache_sweep.run src
+      (Array.of_list
+         (List.map (fun s -> Icache_sweep.cfg (s, line_bytes, assoc)) sizes))
+  in
+  List.mapi (fun i s -> (s, Icache_sweep.mpki results.(i) Branch_mix.Total)) sizes
 
-let create ?(sizes = default_sizes) ?(line_bytes = 64) ?(assoc = 4) () =
-  if sizes = [] then invalid_arg "Working_set.create: no sizes";
-  let sorted = List.sort_uniq compare sizes in
-  { rungs =
-      List.map
-        (fun s ->
-          (s, Icache_sim.create ~size_bytes:s ~line_bytes ~assoc ()))
-        sorted }
-
-let feed t inst = List.iter (fun (_, sim) -> Icache_sim.feed sim inst) t.rungs
-let observer t = feed t
-
-let curve t =
-  List.map (fun (s, sim) -> (s, Icache_sim.mpki sim Branch_mix.Total)) t.rungs
-
-let knee t ?(threshold = 0.5) () =
-  let c = curve t in
-  match List.rev c with
+let knee ?(threshold = 0.5) curve =
+  match List.rev curve with
   | [] | [ _ ] -> None
   | (_, best) :: _ ->
       if Float.is_nan best then None
@@ -30,4 +21,4 @@ let knee t ?(threshold = 0.5) () =
             if (not (Float.is_nan mpki)) && mpki <= best +. threshold then
               Some size
             else None)
-          c
+          curve

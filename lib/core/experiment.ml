@@ -768,7 +768,7 @@ let fig6_rows ~jobs scale profiles =
       |> List.concat_map (fun r ->
              List.map
                (fun cause -> f2 (A.Bp_sweep.mpki_by_cause r total cause))
-               A.Bp_sim.causes))
+               A.Bp_sweep.causes))
     profiles
 
 let fig6 ~jobs scale =
@@ -785,7 +785,7 @@ let fig6 ~jobs scale =
               (n ^ " tf", Table.Right) ])
           configs)
   in
-  let ncells = List.length configs * List.length A.Bp_sim.causes in
+  let ncells = List.length configs * List.length A.Bp_sweep.causes in
   let rows =
     rows_cached ~tag:fig6_tag ~scale
       (List.map W.Suites.find W.Suites.fig6_subset)
@@ -933,11 +933,10 @@ let fig9u_rows ~jobs ~where scale profiles =
   bench_map ~jobs ~where
     (fun (p : W.Profile.t) -> p.name)
     (fun (p : W.Profile.t) ->
-      let sim =
-        A.Icache_sim.create ~size_bytes:16384 ~line_bytes:128 ~assoc:8 ()
+      let r =
+        A.Icache_sweep.run (source scale p) [| A.Icache_sweep.cfg (16384, 128, 8) |]
       in
-      A.Icache_sim.run_all (source scale p) [ sim ];
-      A.Icache_sim.usefulness sim)
+      A.Icache_sweep.usefulness r.(0))
     profiles
 
 let fig8 ~jobs scale =

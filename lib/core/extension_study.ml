@@ -5,86 +5,82 @@ module Table = Repro_util.Table
 
 let total = A.Branch_mix.Total
 
-let scaled (p : W.Profile.t) = function
-  | Some i -> i
-  | None -> p.total_insts
+(* One capture per benchmark; every model of a table replays it. *)
+let capture ?insts name =
+  A.Tool.Source.of_packed
+    (W.Executor.packed (W.Executor.create ?insts (W.Suites.find name)))
+
+let table ~title ~benchmarks columns row =
+  let t =
+    Table.create ~title
+      (("benchmark", Table.Left)
+      :: List.map (fun c -> (c, Table.Right)) columns)
+  in
+  List.iter (fun name -> Table.add_row t (name :: row name)) benchmarks;
+  t
 
 let predictor_table ?insts ~benchmarks () =
-  let statics =
-    [ A.Bp_sim.Always_taken; A.Bp_sim.Always_not_taken; A.Bp_sim.Btfn ]
+  let opaque name =
+    A.Bp_sweep.of_spec ~name
+      { F.Zoo.loop = false;
+        core = F.Zoo.Opaque (fun () -> F.Zoo.by_name_extended name) }
   in
-  let dyn_names = [ "gshare-small"; "tage-big"; "perceptron-128";
-                    "two-level-10.10" ] in
-  let t =
-    Table.create
-      ~title:
-        "Extension: branch MPKI incl. perceptron, two-level and static \
-         schemes"
-      ([ ("benchmark", Table.Left) ]
-      @ List.map (fun n -> (n, Table.Right)) dyn_names
-      @ [ ("static-taken", Table.Right); ("static-not-taken", Table.Right);
-          ("static-btfn", Table.Right) ])
+  let specs =
+    Array.of_list
+      (List.map opaque
+         [ "gshare-small"; "tage-big"; "perceptron-128"; "two-level-10.10" ]
+      @ List.map A.Bp_sweep.of_static A.Bp_sweep.[ Always_taken; Always_not_taken; Btfn ])
   in
-  List.iter
+  table
+    ~title:
+      "Extension: branch MPKI incl. perceptron, two-level and static schemes"
+    ~benchmarks
+    (Array.to_list (Array.map A.Bp_sweep.spec_name specs))
     (fun name ->
-      let p = W.Suites.find name in
-      let ex = W.Executor.create ~insts:(scaled p insts) p in
-      let dyn =
-        List.map (fun n -> A.Bp_sim.create (F.Zoo.by_name_extended n)) dyn_names
-      in
-      let sta = List.map A.Bp_sim.create_static statics in
-      A.Tool.run_all (W.Executor.trace ex)
-        (List.map A.Bp_sim.observer (dyn @ sta));
-      Table.add_row t
-        (name
-        :: List.map (fun s -> Table.fmt_float (A.Bp_sim.mpki s total)) (dyn @ sta)))
-    benchmarks;
-  t
+      A.Bp_sweep.run (capture ?insts name) specs
+      |> Array.to_list
+      |> List.map (fun r -> Table.fmt_float (A.Bp_sweep.mpki r total)))
 
 let prefetch_table ?insts ~benchmarks () =
   let configs =
-    [ ("32K/64B (baseline)", (32768, 64, 4, false));
-      ("16K/128B (tailored)", (16384, 128, 8, false));
-      ("16K/64B", (16384, 64, 8, false));
-      ("16K/64B + next-line", (16384, 64, 8, true)) ]
+    [ ("32K/64B (baseline)", (32768, 64, 4), false);
+      ("16K/128B (tailored)", (16384, 128, 8), false);
+      ("16K/64B", (16384, 64, 8), false);
+      ("16K/64B + next-line", (16384, 64, 8), true) ]
   in
-  let t =
-    Table.create
-      ~title:
-        "Extension: next-line prefetch vs wide lines (I-cache MPKI; \
-         prefetch accuracy in parens)"
-      ([ ("benchmark", Table.Left) ]
-      @ List.map (fun (n, _) -> (n, Table.Right)) configs)
+  let cell r =
+    let cache = A.Icache_sweep.cache r in
+    let mpki = Table.fmt_float (A.Icache_sweep.mpki r total) in
+    let issued = F.Icache.prefetches cache in
+    if issued = 0 then mpki
+    else
+      Printf.sprintf "%s (%.0f%%)" mpki
+        (100.0
+        *. float_of_int (F.Icache.useful_prefetches cache)
+        /. float_of_int issued)
   in
-  List.iter
+  table
+    ~title:
+      "Extension: next-line prefetch vs wide lines (I-cache MPKI; prefetch \
+       accuracy in parens)"
+    ~benchmarks
+    (List.map (fun (n, _, _) -> n) configs)
     (fun name ->
-      let p = W.Suites.find name in
-      let ex = W.Executor.create ~insts:(scaled p insts) p in
-      let sims =
-        List.map
-          (fun (_, (size, line, assoc, pf)) ->
-            A.Icache_sim.create ~next_line_prefetch:pf ~size_bytes:size
-              ~line_bytes:line ~assoc ())
+      let src = capture ?insts name in
+      (* Prefetch is a property of the whole sweep: one run without it
+         and one with it, each result handed back in table order. *)
+      let sweep pf =
+        List.filter_map
+          (fun (_, geom, p) -> if p = pf then Some (A.Icache_sweep.cfg geom) else None)
           configs
+        |> Array.of_list
+        |> A.Icache_sweep.run ~next_line_prefetch:pf src
+        |> Array.to_seq |> Queue.of_seq
       in
-      A.Tool.run_all (W.Executor.trace ex)
-        (List.map A.Icache_sim.observer sims);
-      Table.add_row t
-        (name
-        :: List.map
-             (fun sim ->
-               let cache = A.Icache_sim.cache sim in
-               let mpki = Table.fmt_float (A.Icache_sim.mpki sim total) in
-               let issued = F.Icache.prefetches cache in
-               if issued = 0 then mpki
-               else
-                 Printf.sprintf "%s (%.0f%%)" mpki
-                   (100.0
-                   *. float_of_int (F.Icache.useful_prefetches cache)
-                   /. float_of_int issued))
-             sims))
-    benchmarks;
-  t
+      let plain = sweep false and prefetched = sweep true in
+      List.map
+        (fun (_, _, pf) -> cell (Queue.pop (if pf then prefetched else plain)))
+        configs)
 
 let predictability_table ?insts () =
   let t =
@@ -99,16 +95,14 @@ let predictability_table ?insts () =
       let novelty = ref [] and pps = ref [] and knees = ref [] in
       List.iter
         (fun (p : W.Profile.t) ->
-          let ex = W.Executor.create ~insts:(scaled p insts) p in
+          let src = capture ?insts p.name in
           let pred = A.Predictability.create () in
-          let ws = A.Working_set.create () in
-          A.Tool.run_all (W.Executor.trace ex)
-            [ A.Predictability.observer pred; A.Working_set.observer ws ];
+          A.Tool.run_all_source src [ A.Predictability.observer pred ];
           let n = A.Predictability.novelty_rate pred in
           if not (Float.is_nan n) then novelty := n :: !novelty;
           let pp = A.Predictability.pairs_per_site pred in
           if not (Float.is_nan pp) then pps := pp :: !pps;
-          match A.Working_set.knee ws () with
+          match A.Working_set.knee (A.Working_set.curve src) with
           | Some k -> knees := float_of_int k :: !knees
           | None -> ())
         (W.Suites.by_suite suite);

@@ -5,7 +5,7 @@
     of aliasing that high associativity must absorb. LRU replacement.
 
     A lookup that misses, or hits with a stale target, costs a fetch
-    redirect; {!Analysis.Btb_sim} counts those as BTB MPKI events. *)
+    redirect; {!Repro_analysis.Btb_sweep} counts those as BTB MPKI events. *)
 
 type t
 

@@ -1,7 +1,8 @@
 (** Return-address stack: the structure that lets the front-end treat
-    returns as fully predicted (the assumption {!Analysis.Btb_sim}
-    makes). Fixed depth with wrap-around overwrite on overflow, as in
-    real hardware, so deep recursion corrupts the oldest entries. *)
+    returns as fully predicted (the assumption
+    {!Repro_analysis.Btb_sweep} makes). Fixed depth with wrap-around
+    overwrite on overflow, as in real hardware, so deep recursion
+    corrupts the oldest entries. *)
 
 type t
 

@@ -26,10 +26,9 @@ val measure_many :
     and {!Repro_analysis.Icache_sweep} kernels (one pass over the
     source each), and shared by every config that uses it: the
     tailored core and its preuse variant share one predictor run and
-    one BTB run. Rates are bit-identical to per-config
-    {!Repro_analysis.Bp_sim}/[Btb_sim]/[Icache_sim] runs. Over a
-    packed source the predictor and BTB passes replay only branch
-    events. *)
+    one BTB run. Rates are bit-identical to one run per config
+    (the sweeps' differential tests pin that). Over a packed source
+    the predictor and BTB passes replay only branch events. *)
 
 (** {1 CPI model} *)
 

@@ -1,10 +1,12 @@
 module Inst = Repro_isa.Inst
+module A = Repro_analysis
+module Split = A.Tool.Split
 
 type t = {
   cache : Repro_frontend.Icache.t;
   line_shift : int; (* log2 line_bytes: avoids a division per inst *)
-  insts : Tool.Split.t;
-  misses : Tool.Split.t;
+  insts : Split.t;
+  misses : Split.t;
   mutable last_line : int; (* line currently being consumed; -1 = none *)
 }
 
@@ -13,8 +15,8 @@ let create ?next_line_prefetch ?policy ~size_bytes ~line_bytes ~assoc () =
       Repro_frontend.Icache.create ?next_line_prefetch ?policy ~size_bytes
         ~line_bytes ~assoc ();
     line_shift = Repro_util.Units.log2 line_bytes;
-    insts = Tool.Split.create ();
-    misses = Tool.Split.create ();
+    insts = Split.create ();
+    misses = Split.create ();
     last_line = -1 }
 
 let feed t (i : Inst.t) =
@@ -24,30 +26,25 @@ let feed t (i : Inst.t) =
     t.last_line <- -1
   end
   else begin
-  let s = i.section in
-  Tool.Split.incr t.insts s;
-  let first = i.addr lsr t.line_shift
-  and last = (i.addr + i.size - 1) lsr t.line_shift in
-  (* Only access the cache when the fetch run enters a new line;
-     within the current line, bytes are extracted for free. *)
-  if first <> t.last_line || last <> t.last_line then begin
-    let hit = Repro_frontend.Icache.access t.cache ~addr:i.addr ~size:i.size in
-    if not hit then Tool.Split.incr t.misses s
-  end
-  else Repro_frontend.Icache.consume t.cache ~addr:i.addr ~size:i.size;
-  t.last_line <- (if i.taken then -1 else last)
+    let s = i.section in
+    Split.incr t.insts s;
+    let first = i.addr lsr t.line_shift
+    and last = (i.addr + i.size - 1) lsr t.line_shift in
+    (* Only access the cache when the fetch run enters a new line;
+       within the current line, bytes are extracted for free. *)
+    if first <> t.last_line || last <> t.last_line then begin
+      if not (Repro_frontend.Icache.access t.cache ~addr:i.addr ~size:i.size)
+      then Split.incr t.misses s
+    end
+    else Repro_frontend.Icache.consume t.cache ~addr:i.addr ~size:i.size;
+    t.last_line <- (if i.taken then -1 else last)
   end
 
 let observer t = feed t
 
-(* The I-cache observes every instruction (sequential extraction and
-   line crossings), so the packed form brings no filtering — just a
-   much cheaper producer than re-running the generator. *)
-let run_all src sims = Tool.run_all_source src (List.map feed sims)
-
 let scope_get split = function
-  | Branch_mix.Total -> Tool.Split.total split
-  | Branch_mix.Only s -> Tool.Split.get split s
+  | A.Branch_mix.Total -> Split.total split
+  | A.Branch_mix.Only s -> Split.get split s
 
 let insts t scope = scope_get t.insts scope
 let misses t scope = scope_get t.misses scope

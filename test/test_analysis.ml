@@ -185,73 +185,73 @@ let test_bp_sim_perfect_and_never () =
       ~update:(fun _ _ -> ())
       ~storage_bits:0
   in
-  let sim = A.Bp_sim.create always_right in
+  let sim = Bp_sim.create always_right in
   for _ = 1 to 100 do
-    A.Bp_sim.feed sim (mk ~kind:Inst.Cond_branch ~taken:true ~target:0 64);
-    A.Bp_sim.feed sim (mk 0)
+    Bp_sim.feed sim (mk ~kind:Inst.Cond_branch ~taken:true ~target:0 64);
+    Bp_sim.feed sim (mk 0)
   done;
-  Alcotest.(check (float 1e-9)) "oracle mpki" 0.0 (A.Bp_sim.mpki sim total);
+  Alcotest.(check (float 1e-9)) "oracle mpki" 0.0 (Bp_sim.mpki sim total);
   let always_wrong =
     Repro_frontend.Predictor.make ~name:"anti"
       ~predict:(fun _ -> false)
       ~update:(fun _ _ -> ())
       ~storage_bits:0
   in
-  let sim2 = A.Bp_sim.create always_wrong in
+  let sim2 = Bp_sim.create always_wrong in
   for _ = 1 to 100 do
-    A.Bp_sim.feed sim2 (mk ~kind:Inst.Cond_branch ~taken:true ~target:0 64);
-    A.Bp_sim.feed sim2 (mk 0)
+    Bp_sim.feed sim2 (mk ~kind:Inst.Cond_branch ~taken:true ~target:0 64);
+    Bp_sim.feed sim2 (mk 0)
   done;
   Alcotest.(check (float 1e-9)) "anti mpki = 500" 500.0
-    (A.Bp_sim.mpki sim2 total);
+    (Bp_sim.mpki sim2 total);
   Alcotest.(check (float 1e-9)) "all misses on taken-backward" 500.0
-    (A.Bp_sim.mpki_by_cause sim2 total A.Bp_sim.On_taken_backward);
+    (Bp_sim.mpki_by_cause sim2 total A.Bp_sweep.On_taken_backward);
   Alcotest.(check (float 1e-9)) "none on not-taken" 0.0
-    (A.Bp_sim.mpki_by_cause sim2 total A.Bp_sim.On_not_taken)
+    (Bp_sim.mpki_by_cause sim2 total A.Bp_sweep.On_not_taken)
 
 let test_btb_sim () =
-  let sim = A.Btb_sim.create ~entries:64 ~assoc:4 in
+  let sim = Btb_sim.create ~entries:64 ~assoc:4 in
   (* Same taken branch twice: first lookup misses, second hits. *)
   let br () = mk ~kind:Inst.Uncond_direct ~taken:true ~target:0x9000 64 in
-  A.Btb_sim.feed sim (br ());
-  A.Btb_sim.feed sim (br ());
-  Alcotest.(check int) "one miss" 1 (A.Btb_sim.misses sim total);
-  Alcotest.(check int) "two taken" 2 (A.Btb_sim.taken_branches sim total);
+  Btb_sim.feed sim (br ());
+  Btb_sim.feed sim (br ());
+  Alcotest.(check int) "one miss" 1 (Btb_sim.misses sim total);
+  Alcotest.(check int) "two taken" 2 (Btb_sim.taken_branches sim total);
   (* Returns are RAS-predicted: no BTB traffic. *)
-  A.Btb_sim.feed sim (mk ~kind:Inst.Return ~taken:true ~target:0x1234 128);
-  Alcotest.(check int) "returns skip btb" 2 (A.Btb_sim.taken_branches sim total)
+  Btb_sim.feed sim (mk ~kind:Inst.Return ~taken:true ~target:0x1234 128);
+  Alcotest.(check int) "returns skip btb" 2 (Btb_sim.taken_branches sim total)
 
 let test_btb_sim_target_change () =
-  let sim = A.Btb_sim.create ~entries:64 ~assoc:4 in
-  A.Btb_sim.feed sim (mk ~kind:Inst.Indirect_call ~taken:true ~target:0x100 64);
-  A.Btb_sim.feed sim (mk ~kind:Inst.Indirect_call ~taken:true ~target:0x200 64);
-  Alcotest.(check int) "stale target misses" 2 (A.Btb_sim.misses sim total)
+  let sim = Btb_sim.create ~entries:64 ~assoc:4 in
+  Btb_sim.feed sim (mk ~kind:Inst.Indirect_call ~taken:true ~target:0x100 64);
+  Btb_sim.feed sim (mk ~kind:Inst.Indirect_call ~taken:true ~target:0x200 64);
+  Alcotest.(check int) "stale target misses" 2 (Btb_sim.misses sim total)
 
 let test_icache_sim_sequential () =
-  let sim = A.Icache_sim.create ~size_bytes:1024 ~line_bytes:64 ~assoc:2 () in
+  let sim = Icache_sim.create ~size_bytes:1024 ~line_bytes:64 ~assoc:2 () in
   (* 32 sequential 4-byte instructions = 128 bytes = 2 lines = 2 misses. *)
   for i = 0 to 31 do
-    A.Icache_sim.feed sim (mk ~size:4 (0x4000 + (i * 4)))
+    Icache_sim.feed sim (mk ~size:4 (0x4000 + (i * 4)))
   done;
-  Alcotest.(check int) "two line misses" 2 (A.Icache_sim.misses sim total);
+  Alcotest.(check int) "two line misses" 2 (Icache_sim.misses sim total);
   (* Re-run: now hits, no further misses. *)
   for i = 0 to 31 do
-    A.Icache_sim.feed sim (mk ~size:4 (0x4000 + (i * 4)))
+    Icache_sim.feed sim (mk ~size:4 (0x4000 + (i * 4)))
   done;
-  Alcotest.(check int) "still two" 2 (A.Icache_sim.misses sim total);
-  Alcotest.(check (float 0.01)) "fully useful" 1.0 (A.Icache_sim.usefulness sim)
+  Alcotest.(check int) "still two" 2 (Icache_sim.misses sim total);
+  Alcotest.(check (float 0.01)) "fully useful" 1.0 (Icache_sim.usefulness sim)
 
 let test_icache_sim_taken_redirect () =
-  let sim = A.Icache_sim.create ~size_bytes:1024 ~line_bytes:64 ~assoc:2 () in
+  let sim = Icache_sim.create ~size_bytes:1024 ~line_bytes:64 ~assoc:2 () in
   (* Taken branch forces a new-line access even within the same line. *)
-  A.Icache_sim.feed sim (mk ~size:4 0x4000);
-  A.Icache_sim.feed sim
+  Icache_sim.feed sim (mk ~size:4 0x4000);
+  Icache_sim.feed sim
     (mk ~kind:Inst.Cond_branch ~taken:true ~target:0x4008 ~size:4 0x4004);
-  A.Icache_sim.feed sim (mk ~size:4 0x4008);
+  Icache_sim.feed sim (mk ~size:4 0x4008);
   (* 3rd instruction is in the same line but after a taken branch the
      fetch restarts: access counted, hit. *)
-  Alcotest.(check int) "one miss only" 1 (A.Icache_sim.misses sim total);
-  Alcotest.(check bool) "more than one access" true (A.Icache_sim.accesses sim >= 2)
+  Alcotest.(check int) "one miss only" 1 (Icache_sim.misses sim total);
+  Alcotest.(check bool) "more than one access" true (Icache_sim.accesses sim >= 2)
 
 let test_tool_run_all_order () =
   let seen = ref [] in

@@ -203,11 +203,11 @@ let test_prefetch_helps_sequential_workload () =
   let run pf =
     let ex = W.Executor.create ~insts:200_000 p in
     let sim =
-      A.Icache_sim.create ~next_line_prefetch:pf ~size_bytes:16384
+      Icache_sim.create ~next_line_prefetch:pf ~size_bytes:16384
         ~line_bytes:64 ~assoc:8 ()
     in
-    A.Tool.run_all (W.Executor.trace ex) [ A.Icache_sim.observer sim ];
-    A.Icache_sim.mpki sim A.Branch_mix.Total
+    A.Tool.run_all (W.Executor.trace ex) [ Icache_sim.observer sim ];
+    Icache_sim.mpki sim A.Branch_mix.Total
   in
   let plain = run false and pf = run true in
   Alcotest.(check bool)
@@ -248,9 +248,9 @@ let test_predictability_desktop_vs_hpc () =
 let test_working_set_monotone () =
   let p = W.Suites.find "gobmk" in
   let ex = W.Executor.create ~insts:300_000 p in
-  let ws = A.Working_set.create () in
-  A.Tool.run_all (W.Executor.trace ex) [ A.Working_set.observer ws ];
-  let curve = A.Working_set.curve ws in
+  let curve =
+    A.Working_set.curve (A.Tool.Source.of_trace (W.Executor.trace ex))
+  in
   Alcotest.(check int) "seven rungs" 7 (List.length curve);
   let rec non_increasing = function
     | (_, a) :: ((_, b) :: _ as rest) -> a +. 0.2 >= b && non_increasing rest
@@ -261,9 +261,10 @@ let test_working_set_monotone () =
 let test_working_set_knee () =
   let p = W.Suites.find "swim" in
   let ex = W.Executor.create ~insts:200_000 p in
-  let ws = A.Working_set.create () in
-  A.Tool.run_all (W.Executor.trace ex) [ A.Working_set.observer ws ];
-  match A.Working_set.knee ws () with
+  match
+    A.Working_set.knee
+      (A.Working_set.curve (A.Tool.Source.of_trace (W.Executor.trace ex)))
+  with
   | Some k ->
       Alcotest.(check bool)
         (Printf.sprintf "swim knee %dKB <= 16KB" (k / 1024))
@@ -432,15 +433,15 @@ let test_btfn_tracks_bias () =
      decisively (the paper's backward-taken finding). *)
   let p = W.Suites.find "swim" in
   let ex = W.Executor.create ~insts:200_000 p in
-  let btfn = A.Bp_sim.create_static A.Bp_sim.Btfn in
-  let ant = A.Bp_sim.create_static A.Bp_sim.Always_not_taken in
+  let btfn = Bp_sim.create_static A.Bp_sweep.Btfn in
+  let ant = Bp_sim.create_static A.Bp_sweep.Always_not_taken in
   A.Tool.run_all (W.Executor.trace ex)
-    [ A.Bp_sim.observer btfn; A.Bp_sim.observer ant ];
-  let b = A.Bp_sim.mpki btfn A.Branch_mix.Total in
-  let n = A.Bp_sim.mpki ant A.Branch_mix.Total in
+    [ Bp_sim.observer btfn; Bp_sim.observer ant ];
+  let b = Bp_sim.mpki btfn A.Branch_mix.Total in
+  let n = Bp_sim.mpki ant A.Branch_mix.Total in
   Alcotest.(check bool) (Printf.sprintf "btfn %.1f << not-taken %.1f" b n) true
     (b < n /. 3.0);
-  Alcotest.(check string) "name" "static-btfn" (A.Bp_sim.predictor_name btfn)
+  Alcotest.(check string) "name" "static-btfn" (Bp_sim.predictor_name btfn)
 
 let test_extension_tables_render () =
   let t1 =

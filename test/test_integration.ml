@@ -114,9 +114,9 @@ let test_characteristic4_blocks () =
 let mpki_of name predictor_name insts =
   let p = W.Suites.find name in
   let ex = W.Executor.create ~insts p in
-  let sim = A.Bp_sim.create (F.Zoo.by_name predictor_name) in
-  A.Tool.run_all (W.Executor.trace ex) [ A.Bp_sim.observer sim ];
-  A.Bp_sim.mpki sim total
+  let sim = Bp_sim.create (F.Zoo.by_name predictor_name) in
+  A.Tool.run_all (W.Executor.trace ex) [ Bp_sim.observer sim ];
+  Bp_sim.mpki sim total
 
 let test_implication1_tage_wins () =
   (* TAGE outperforms gshare at equal cost, per suite and per bench. *)
@@ -182,9 +182,9 @@ let test_desktop_mpki_much_higher () =
 let btb_mpki name ~entries ~assoc insts =
   let p = W.Suites.find name in
   let ex = W.Executor.create ~insts p in
-  let sim = A.Btb_sim.create ~entries ~assoc in
-  A.Tool.run_all (W.Executor.trace ex) [ A.Btb_sim.observer sim ];
-  A.Btb_sim.mpki sim total
+  let sim = Btb_sim.create ~entries ~assoc in
+  A.Tool.run_all (W.Executor.trace ex) [ Btb_sim.observer sim ];
+  Btb_sim.mpki sim total
 
 let test_implication2_btb_size_insensitive_hpc () =
   List.iter
@@ -212,9 +212,9 @@ let test_implication2_btb_size_matters_desktop () =
 let icache_mpki name ~size ~line ~assoc insts =
   let p = W.Suites.find name in
   let ex = W.Executor.create ~insts p in
-  let sim = A.Icache_sim.create ~size_bytes:size ~line_bytes:line ~assoc () in
-  A.Tool.run_all (W.Executor.trace ex) [ A.Icache_sim.observer sim ];
-  (A.Icache_sim.mpki sim total, A.Icache_sim.usefulness sim)
+  let sim = Icache_sim.create ~size_bytes:size ~line_bytes:line ~assoc () in
+  A.Tool.run_all (W.Executor.trace ex) [ Icache_sim.observer sim ];
+  (Icache_sim.mpki sim total, Icache_sim.usefulness sim)
 
 let test_implication3_hpc_16k_enough () =
   List.iter

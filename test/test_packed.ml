@@ -350,29 +350,29 @@ let test_sweeps_identical id () =
     (render ~jobs:4 id)
 
 (* ------------------------------------------------------------------ *)
-(* Static branch-prediction engines (Always_taken / Always_not_taken /
-   Btfn) on the packed conditional fast path: Bp_sim.run_all over a
-   capture replays only the conditional branches and absorbs the
-   instruction totals in bulk, and the statics carry no state that
-   warmup could train — the packed counts must equal the streaming
-   counts AND a direct recount over the raw list (warmup excluded). *)
+(* Static branch-prediction schemes (Always_taken / Always_not_taken /
+   Btfn) on Bp_sweep's packed conditional fast path, which replays only
+   the conditional branches and absorbs the instruction totals in
+   bulk. The statics carry no state that warmup could train, so the
+   packed counts must equal the streaming counts AND a direct recount
+   over the raw list (warmup excluded). *)
 
 let static_predicts s (i : I.t) =
   match s with
-  | A.Bp_sim.Always_taken -> true
-  | A.Bp_sim.Always_not_taken -> false
-  | A.Bp_sim.Btfn -> i.target < i.addr
+  | A.Bp_sweep.Always_taken -> true
+  | A.Bp_sweep.Always_not_taken -> false
+  | A.Bp_sweep.Btfn -> i.target < i.addr
 
 let prop_static_engines =
   QCheck.Test.make ~name:"static engines: packed == stream == recount"
     ~count:150 with_chunks (fun (insts, cap) ->
-      let statics = A.Bp_sim.[ Always_taken; Always_not_taken; Btfn ] in
+      let statics = A.Bp_sweep.[ Always_taken; Always_not_taken; Btfn ] in
       let tr = Trace.of_list insts in
       let pt = P.of_trace ~chunk_capacity:cap tr in
       let run src =
-        let sims = List.map A.Bp_sim.create_static statics in
-        A.Bp_sim.run_all src sims;
-        sims
+        Array.to_list
+          (A.Bp_sweep.run src
+             (Array.of_list (List.map A.Bp_sweep.of_static statics)))
       in
       let streamed = run (A.Tool.Source.of_trace tr)
       and packed = run (A.Tool.Source.of_packed pt) in
@@ -398,12 +398,12 @@ let prop_static_engines =
               in
               let want_insts = expect in_scope false
               and want_miss = expect in_scope true in
-              A.Bp_sim.insts st scope = want_insts
-              && A.Bp_sim.insts pk scope = want_insts
-              && A.Bp_sim.mispredictions st scope = want_miss
-              && A.Bp_sim.mispredictions pk scope = want_miss
-              && A.Bp_sim.conditional_branches st scope
-                 = A.Bp_sim.conditional_branches pk scope)
+              A.Bp_sweep.insts st scope = want_insts
+              && A.Bp_sweep.insts pk scope = want_insts
+              && A.Bp_sweep.mispredictions st scope = want_miss
+              && A.Bp_sweep.mispredictions pk scope = want_miss
+              && A.Bp_sweep.conditional_branches st scope
+                 = A.Bp_sweep.conditional_branches pk scope)
             scopes)
         statics
         (List.combine streamed packed))

@@ -3,9 +3,10 @@
    The contract under test: Repro_analysis.{Bp_sweep, Btb_sweep,
    Icache_sweep} over N configurations and one source are
    bit-identical — every counter and every derived float — to N
-   independent per-configuration {Bp_sim, Btb_sim, Icache_sim} runs
-   over the same source, for both source forms (streaming trace and
-   packed capture), and invariant under splitting the configuration
+   independent per-configuration oracles (the test-local Bp_sim,
+   Btb_sim and Icache_sim, fed one instruction at a time) over the
+   same source, for both source forms (streaming trace and packed
+   capture), and invariant under splitting the configuration
    axis into sub-ranges (the property Experiment's sweep_map relies
    on when it shards configurations across Engine domains). *)
 
@@ -67,32 +68,32 @@ let bp_specs () =
   Array.of_list
     (List.map A.Bp_sweep.of_name F.Zoo.all_names
     @ List.map A.Bp_sweep.of_static
-        A.Bp_sim.[ Always_taken; Always_not_taken; Btfn ])
+        A.Bp_sweep.[ Always_taken; Always_not_taken; Btfn ])
 
 let bp_sims () =
-  List.map (fun n -> A.Bp_sim.create (F.Zoo.by_name n)) F.Zoo.all_names
-  @ List.map A.Bp_sim.create_static
-      A.Bp_sim.[ Always_taken; Always_not_taken; Btfn ]
+  List.map (fun n -> Bp_sim.create (F.Zoo.by_name n)) F.Zoo.all_names
+  @ List.map Bp_sim.create_static
+      A.Bp_sweep.[ Always_taken; Always_not_taken; Btfn ]
 
-let bp_agrees (fused : A.Bp_sweep.t) (sim : A.Bp_sim.t) =
-  String.equal (A.Bp_sweep.predictor_name fused) (A.Bp_sim.predictor_name sim)
+let bp_agrees (fused : A.Bp_sweep.t) (sim : Bp_sim.t) =
+  String.equal (A.Bp_sweep.predictor_name fused) (Bp_sim.predictor_name sim)
   && List.for_all
        (fun scope ->
-         A.Bp_sweep.insts fused scope = A.Bp_sim.insts sim scope
+         A.Bp_sweep.insts fused scope = Bp_sim.insts sim scope
          && A.Bp_sweep.conditional_branches fused scope
-            = A.Bp_sim.conditional_branches sim scope
+            = Bp_sim.conditional_branches sim scope
          && A.Bp_sweep.mispredictions fused scope
-            = A.Bp_sim.mispredictions sim scope
-         && feq (A.Bp_sweep.mpki fused scope) (A.Bp_sim.mpki sim scope)
+            = Bp_sim.mispredictions sim scope
+         && feq (A.Bp_sweep.mpki fused scope) (Bp_sim.mpki sim scope)
          && feq
               (A.Bp_sweep.misprediction_rate fused scope)
-              (A.Bp_sim.misprediction_rate sim scope)
+              (Bp_sim.misprediction_rate sim scope)
          && List.for_all
               (fun c ->
                 feq
                   (A.Bp_sweep.mpki_by_cause fused scope c)
-                  (A.Bp_sim.mpki_by_cause sim scope c))
-              A.Bp_sim.causes)
+                  (Bp_sim.mpki_by_cause sim scope c))
+              A.Bp_sweep.causes)
        scopes
 
 let prop_bp_fused =
@@ -100,7 +101,7 @@ let prop_bp_fused =
     (fun input ->
       let fused = A.Bp_sweep.run (source_of input) (bp_specs ()) in
       let sims = bp_sims () in
-      A.Bp_sim.run_all (source_of input) sims;
+      A.Tool.run_all_source (source_of input) (List.map Bp_sim.observer sims);
       List.for_all2 bp_agrees (Array.to_list fused) sims)
 
 (* ------------------------------------------------------------------ *)
@@ -110,15 +111,15 @@ let prop_bp_fused =
 
 let btb_configs = [| (16, 1); (16, 2); (32, 2); (64, 2); (64, 8); (256, 4) |]
 
-let btb_agrees (fused : A.Btb_sweep.t) (sim : A.Btb_sim.t) =
+let btb_agrees (fused : A.Btb_sweep.t) (sim : Btb_sim.t) =
   List.for_all
     (fun scope ->
-      A.Btb_sweep.insts fused scope = A.Btb_sim.insts sim scope
+      A.Btb_sweep.insts fused scope = Btb_sim.insts sim scope
       && A.Btb_sweep.taken_branches fused scope
-         = A.Btb_sim.taken_branches sim scope
-      && A.Btb_sweep.misses fused scope = A.Btb_sim.misses sim scope
-      && feq (A.Btb_sweep.mpki fused scope) (A.Btb_sim.mpki sim scope)
-      && feq (A.Btb_sweep.miss_rate fused scope) (A.Btb_sim.miss_rate sim scope))
+         = Btb_sim.taken_branches sim scope
+      && A.Btb_sweep.misses fused scope = Btb_sim.misses sim scope
+      && feq (A.Btb_sweep.mpki fused scope) (Btb_sim.mpki sim scope)
+      && feq (A.Btb_sweep.miss_rate fused scope) (Btb_sim.miss_rate sim scope))
     scopes
 
 let prop_btb_fused =
@@ -127,10 +128,10 @@ let prop_btb_fused =
       let fused = A.Btb_sweep.run (source_of input) btb_configs in
       let sims =
         Array.to_list
-          (Array.map (fun (entries, assoc) -> A.Btb_sim.create ~entries ~assoc)
+          (Array.map (fun (entries, assoc) -> Btb_sim.create ~entries ~assoc)
              btb_configs)
       in
-      A.Btb_sim.run_all (source_of input) sims;
+      A.Tool.run_all_source (source_of input) (List.map Btb_sim.observer sims);
       List.for_all2 btb_agrees (Array.to_list fused) sims)
 
 (* ------------------------------------------------------------------ *)
@@ -161,21 +162,21 @@ let icache_mixed_configs =
      A.Icache_sweep.cfg ~policy:F.Replacement.Preuse (1024, 64, 2);
      A.Icache_sweep.cfg ~policy:F.Replacement.Preuse (2048, 128, 2) |]
 
-let icache_agrees (fused : A.Icache_sweep.t) (sim : A.Icache_sim.t) =
+let icache_agrees (fused : A.Icache_sweep.t) (sim : Icache_sim.t) =
   List.for_all
     (fun scope ->
-      A.Icache_sweep.insts fused scope = A.Icache_sim.insts sim scope
-      && A.Icache_sweep.misses fused scope = A.Icache_sim.misses sim scope
-      && feq (A.Icache_sweep.mpki fused scope) (A.Icache_sim.mpki sim scope))
+      A.Icache_sweep.insts fused scope = Icache_sim.insts sim scope
+      && A.Icache_sweep.misses fused scope = Icache_sim.misses sim scope
+      && feq (A.Icache_sweep.mpki fused scope) (Icache_sim.mpki sim scope))
     scopes
-  && A.Icache_sweep.accesses fused = A.Icache_sim.accesses sim
+  && A.Icache_sweep.accesses fused = Icache_sim.accesses sim
   && F.Icache.misses (A.Icache_sweep.cache fused)
-     = F.Icache.misses (A.Icache_sim.cache sim)
+     = F.Icache.misses (Icache_sim.cache sim)
   && F.Icache.prefetches (A.Icache_sweep.cache fused)
-     = F.Icache.prefetches (A.Icache_sim.cache sim)
+     = F.Icache.prefetches (Icache_sim.cache sim)
   && F.Icache.useful_prefetches (A.Icache_sweep.cache fused)
-     = F.Icache.useful_prefetches (A.Icache_sim.cache sim)
-  && feq (A.Icache_sweep.usefulness fused) (A.Icache_sim.usefulness sim)
+     = F.Icache.useful_prefetches (Icache_sim.cache sim)
+  && feq (A.Icache_sweep.usefulness fused) (Icache_sim.usefulness sim)
 
 let icache_prop ~configs ~next_line_prefetch input =
   let fused = A.Icache_sweep.run ~next_line_prefetch (source_of input) configs in
@@ -183,12 +184,12 @@ let icache_prop ~configs ~next_line_prefetch input =
     Array.to_list
       (Array.map
          (fun (c : A.Icache_sweep.config) ->
-           A.Icache_sim.create ~next_line_prefetch ~policy:c.policy
+           Icache_sim.create ~next_line_prefetch ~policy:c.policy
              ~size_bytes:c.size_bytes ~line_bytes:c.line_bytes ~assoc:c.assoc
              ())
          configs)
   in
-  A.Icache_sim.run_all (source_of input) sims;
+  A.Tool.run_all_source (source_of input) (List.map Icache_sim.observer sims);
   List.for_all2 icache_agrees (Array.to_list fused) sims
 
 let prop_icache_fused =

@@ -131,12 +131,12 @@ let reference_measure_many cfgs trace =
   let sims =
     List.map
       (fun (cfg : U.Frontend_config.t) ->
-        let bp = A.Bp_sim.create (U.Frontend_config.make_bp cfg) in
+        let bp = Bp_sim.create (U.Frontend_config.make_bp cfg) in
         let btb =
-          A.Btb_sim.create ~entries:cfg.btb_entries ~assoc:cfg.btb_assoc
+          Btb_sim.create ~entries:cfg.btb_entries ~assoc:cfg.btb_assoc
         in
         let ic =
-          A.Icache_sim.create ~policy:cfg.icache_repl
+          Icache_sim.create ~policy:cfg.icache_repl
             ~size_bytes:cfg.icache_bytes ~line_bytes:cfg.icache_line
             ~assoc:cfg.icache_assoc ()
         in
@@ -146,23 +146,23 @@ let reference_measure_many cfgs trace =
   A.Tool.run_all trace
     (List.concat_map
        (fun (bp, btb, ic) ->
-         [ A.Bp_sim.observer bp; A.Btb_sim.observer btb;
-           A.Icache_sim.observer ic ])
+         [ Bp_sim.observer bp; Btb_sim.observer btb;
+           Icache_sim.observer ic ])
        sims);
   List.map
     (fun (bp, btb, ic) ->
       let rates scope =
-        { U.Timing.bp_mpki = zero_if_nan (A.Bp_sim.mpki bp scope);
-          btb_mpki = zero_if_nan (A.Btb_sim.mpki btb scope);
-          icache_mpki = zero_if_nan (A.Icache_sim.mpki ic scope) }
+        { U.Timing.bp_mpki = zero_if_nan (Bp_sim.mpki bp scope);
+          btb_mpki = zero_if_nan (Btb_sim.mpki btb scope);
+          icache_mpki = zero_if_nan (Icache_sim.mpki ic scope) }
       in
       let serial = A.Branch_mix.Only S.Serial in
       let parallel = A.Branch_mix.Only S.Parallel in
       { U.Timing.serial = rates serial;
         parallel = rates parallel;
         total = rates A.Branch_mix.Total;
-        serial_insts = A.Bp_sim.insts bp serial;
-        parallel_insts = A.Bp_sim.insts bp parallel })
+        serial_insts = Bp_sim.insts bp serial;
+        parallel_insts = Bp_sim.insts bp parallel })
     sims
 
 let rates_equal (a : U.Timing.rates) (b : U.Timing.rates) =
