@@ -148,8 +148,8 @@ let dist_probe id =
         D.set_listen None;
         C.Cache.set_dir was_dir;
         C.Cache.set_enabled was_cache;
-        ignore
-          (Sys.command ("rm -rf " ^ String.concat " " (probe_dir :: remote_dirs))))
+        let dirs = String.concat " " (probe_dir :: remote_dirs) in
+        ignore (Sys.command ("rm -rf " ^ dirs)))
       (fun () ->
         (* In-process reference: no workers, no disk cache, cold memo. *)
         D.set_workers (Some 0);
@@ -340,13 +340,7 @@ let member_at doc path =
 
 let num_at doc path = Option.fold ~none:nan ~some:num (member_at doc path)
 
-let show = function
-  | J.Num x -> Printf.sprintf "%g" x
-  | J.Str s -> Printf.sprintf "%S" s
-  | J.Bool b -> string_of_bool b
-  | J.Null -> "null"
-  | J.Arr _ -> "an array"
-  | J.Obj _ -> "an object"
+let show v = String.trim (J.to_string v)
 
 let bound want holds : gate =
  fun _ _ v ->
@@ -444,7 +438,9 @@ let distributed_fields =
     field Count "completed" (fun s -> int s.completed);
     field Count "reissued" (fun s -> int s.reissued);
     field Count "worker_deaths" (fun s -> int s.worker_deaths);
-    field Count "dup_results" (fun s -> int s.dup_results) ~gates:[ at_most 0.0 ];
+    field Count "dup_results"
+      (fun s -> int s.dup_results)
+      ~gates:[ at_most 0.0 ];
     field Count "killed" (fun _ -> int !dist_killed);
     field Bool "identical" (fun _ -> J.Bool !dist_identical) ~gates:[ is_true ];
     block ~nulls:(expected "--expect-remote") "remote" remote_fields (fun s ->
@@ -556,7 +552,8 @@ let schema =
     field Num "jobs" (fun _ -> int !jobs);
     field Bool "strict" (fun _ -> J.Bool (E.strict_enabled ()));
     field Str "faults" ~nulls:Nullable (fun _ ->
-        match Repro_util.Faults.spec () with Some s -> J.Str s | None -> J.Null);
+        Option.fold ~none:J.Null ~some:(fun s -> J.Str s)
+          (Repro_util.Faults.spec ()));
     block ~nulls:(expected "--expect-serve") "serve" serve_fields (fun r ->
         r.serve);
     block
@@ -652,118 +649,95 @@ let serve_req = ref None
 
 (* Any serve flag switches the harness into load-generator mode. *)
 let set_serve f =
-  serve_req := Some (f (Option.value !serve_req ~default:Serve_load.default_cfg))
+  let cfg = Option.value !serve_req ~default:Serve_load.default_cfg in
+  serve_req := Some (f cfg)
 
 let expect flag () = expects := flag :: !expects
 
 type arg = Switch of (unit -> unit) | Value of string * (string -> unit)
 
-let int_flag name ~lo ~hi apply n =
-  match int_of_string_opt n with
-  | Some v when v >= lo && v <= hi -> apply v
-  | Some v ->
-      Printf.eprintf "bench: clamping %s %d to %d..%d\n%!" name v lo hi;
-      apply (max lo (min hi v))
-  | None ->
-      Printf.eprintf
-        "bench: ignoring invalid %s %S (want an integer in %d..%d); keeping \
-         the default\n%!"
-        name n lo hi
+let switch names help f = (names, Switch f, help)
+let value names meta help f = (names, Value (meta, f), help)
+
+let int_flag name ~lo ~hi help apply =
+  value [ name ] "N" help (fun n ->
+      match int_of_string_opt n with
+      | Some v when v >= lo && v <= hi -> apply v
+      | Some v ->
+          Printf.eprintf "bench: clamping %s %d to %d..%d\n%!" name v lo hi;
+          apply (max lo (min hi v))
+      | None ->
+          Printf.eprintf
+            "bench: ignoring invalid %s %S (want an integer in %d..%d); \
+             keeping the default\n%!"
+            name n lo hi)
+
+let serve_flag name ~lo ~hi help set =
+  int_flag name ~lo ~hi help (fun v -> set_serve (fun c -> set c v))
 
 let extras = [ "micro"; "extension" ]
 
 let rec flags =
-  [ ( [ "-j"; "--jobs" ],
-      Value
-        ( "N",
-          fun n ->
-            match int_of_string_opt n with
-            | Some j when j > 0 -> jobs := j
-            | _ -> usage_error "bad job count %S (want a positive integer)" n
-        ),
-      "shard trace runs over N domains (default: all cores; same results)" );
-    ( [ "--no-cache" ],
-      Switch (fun () -> C.Cache.set_enabled false),
-      "ignore the persistent cache directory" );
-    ( [ "--no-journal" ],
-      Switch (fun () -> use_journal := false),
-      "do not journal completed experiments (a fresh run every time)" );
-    ( [ "--strict" ],
-      Switch (fun () -> E.set_strict true),
-      "abort on the first failed measurement instead of marking holes" );
-    ( [ "--retry" ],
-      Value ("N", int_flag "--retry" ~lo:0 ~hi:10 C.Engine.set_retries),
-      "retry budget for transient task failures (default 2)" );
-    ( [ "--timeout-ms" ],
-      Value
-        ( "N",
-          int_flag "--timeout-ms" ~lo:1 ~hi:max_int (fun v ->
-              C.Engine.set_timeout_ms (Some v)) ),
-      "per-task deadline (default off; trades reproducibility)" );
-    (* Faults.configure warns once per malformed entry itself. *)
-    ( [ "--faults" ],
-      Value ("SPEC", fun s -> Repro_util.Faults.configure (Some s)),
-      "inject faults, e.g. all:0.05:42 (also REPRO_FAULTS)" );
-    ( [ "--json" ],
-      Value ("FILE", fun f -> json_out := Some f),
-      "also write per-experiment times, cache hits and speedups as JSON" );
-    ( [ "--check-json" ],
-      Value ("FILE", fun f -> check_file := Some f),
-      "validate an emitted file (exit 1 when malformed)" );
-    ( [ "--expect-serve" ],
-      Switch (expect "--expect-serve"),
-      "with --check-json: require a recorded serve run" );
-    ( [ "--expect-dist" ],
-      Switch (expect "--expect-dist"),
-      "with --check-json: require a recorded --workers/--remote probe" );
-    ( [ "--expect-remote" ],
-      Switch (expect "--expect-remote"),
-      "with --check-json: require a recorded --remote probe" );
-    ( [ "--workers" ],
-      Value ("N", int_flag "--workers" ~lo:0 ~hi:64 (( := ) dist_workers)),
-      "probe each experiment sharded over N worker processes" );
-    ( [ "--remote" ],
-      Value ("N", int_flag "--remote" ~lo:0 ~hi:64 (( := ) dist_remote)),
-      "add N loopback-TCP workers to the probe" );
-    ( [ "--dist-kill" ],
-      Switch (fun () -> dist_kill := true),
-      "SIGKILL one worker mid-probe" );
-    ( [ "--serve-bench" ],
-      Switch (fun () -> set_serve Fun.id),
-      "load-test an in-process daemon instead of regenerating experiments" );
-    ( [ "--serve-clients" ],
-      Value
-        ( "N",
-          int_flag "--serve-clients" ~lo:1 ~hi:16 (fun v ->
-              set_serve (fun c -> { c with sb_clients = v })) ),
-      "concurrent serve clients (default 4)" );
-    ( [ "--serve-requests" ],
-      Value
-        ( "N",
-          int_flag "--serve-requests" ~lo:1 ~hi:100_000 (fun v ->
-              set_serve (fun c -> { c with sb_requests = v })) ),
-      "total serve requests (default 40)" );
-    ( [ "--serve-mode" ],
-      Value
-        ( "closed|open",
-          function
-          | "closed" -> set_serve (fun c -> { c with sb_mode = `Closed })
-          | "open" -> set_serve (fun c -> { c with sb_mode = `Open })
-          | m -> usage_error "bad --serve-mode %S (want closed or open)" m ),
-      "back-to-back clients, or arrivals on a fixed schedule" );
-    ( [ "--serve-rps" ],
-      Value
-        ( "R",
-          fun r ->
-            match float_of_string_opt r with
-            | Some v when Float.is_finite v && v > 0.0 ->
-                set_serve (fun c -> { c with sb_rps = v })
-            | _ ->
-                Printf.eprintf
-                  "bench: ignoring invalid --serve-rps %S (want a positive \
-                   rate); keeping the default\n%!"
-                  r ),
-      "open-loop aggregate arrival rate (default 50)" ) ]
+  lazy
+    [ value [ "-j"; "--jobs" ] "N"
+        "shard trace runs over N domains (default: all cores; same results)"
+        (fun n ->
+          match int_of_string_opt n with
+          | Some j when j > 0 -> jobs := j
+          | _ -> usage_error "bad job count %S (want a positive integer)" n);
+      switch [ "--no-cache" ] "ignore the persistent cache directory" (fun () ->
+          C.Cache.set_enabled false);
+      switch [ "--no-journal" ] "do not journal completed experiments"
+        (fun () -> use_journal := false);
+      switch [ "--strict" ] "abort on the first failed measurement (no holes)"
+        (fun () -> E.set_strict true);
+      int_flag "--retry" ~lo:0 ~hi:10
+        "retry budget for transient task failures (default 2)"
+        C.Engine.set_retries;
+      int_flag "--timeout-ms" ~lo:1 ~hi:max_int
+        "per-task deadline (default off; trades reproducibility)" (fun v ->
+          C.Engine.set_timeout_ms (Some v));
+      (* Faults.configure warns once per malformed entry itself. *)
+      value [ "--faults" ] "SPEC" "inject faults, e.g. all:0.05:42" (fun s ->
+          Repro_util.Faults.configure (Some s));
+      value [ "--json" ] "FILE" "also write the measurements as JSON" (fun f ->
+          json_out := Some f);
+      value [ "--check-json" ] "FILE" "validate an emitted file (exit 1 if not)"
+        (fun f -> check_file := Some f);
+      switch [ "--expect-serve" ] "with --check-json: require a serve run"
+        (expect "--expect-serve");
+      switch [ "--expect-dist" ] "with --check-json: require a --workers probe"
+        (expect "--expect-dist");
+      switch [ "--expect-remote" ] "with --check-json: require a --remote probe"
+        (expect "--expect-remote");
+      int_flag "--workers" ~lo:0 ~hi:64
+        "probe each experiment sharded over N worker processes"
+        (( := ) dist_workers);
+      int_flag "--remote" ~lo:0 ~hi:64 "add N loopback-TCP workers to the probe"
+        (( := ) dist_remote);
+      switch [ "--dist-kill" ] "SIGKILL one worker mid-probe" (fun () ->
+          dist_kill := true);
+      switch [ "--serve-bench" ] "load-test an in-process daemon instead"
+        (fun () -> set_serve Fun.id);
+      serve_flag "--serve-clients" ~lo:1 ~hi:16 "concurrent clients (default 4)"
+        (fun c v -> { c with sb_clients = v });
+      serve_flag "--serve-requests" ~lo:1 ~hi:100_000
+        "total requests (default 40)" (fun c v -> { c with sb_requests = v });
+      value [ "--serve-mode" ] "closed|open"
+        "back-to-back clients, or arrivals on a fixed schedule" (function
+        | "closed" -> set_serve (fun c -> { c with sb_mode = `Closed })
+        | "open" -> set_serve (fun c -> { c with sb_mode = `Open })
+        | m -> usage_error "bad --serve-mode %S (want closed or open)" m);
+      value [ "--serve-rps" ] "R" "open-loop arrival rate (default 50)"
+        (fun r ->
+          match float_of_string_opt r with
+          | Some v when Float.is_finite v && v > 0.0 ->
+              set_serve (fun c -> { c with sb_rps = v })
+          | _ ->
+              Printf.eprintf
+                "bench: ignoring invalid --serve-rps %S (want a positive \
+                 rate); keeping the default\n%!"
+                r) ]
 
 and usage_error : 'a 'b. ('a, unit, string, 'b) format4 -> 'a =
  fun fmt ->
@@ -779,7 +753,7 @@ and usage_error : 'a 'b. ('a, unit, string, 'b) format4 -> 'a =
         (fun (names, arg, help) ->
           let meta = match arg with Switch _ -> "" | Value (m, _) -> " " ^ m in
           Printf.eprintf "  %-28s %s\n" (String.concat ", " names ^ meta) help)
-        flags;
+        (Lazy.force flags);
       exit 2)
     fmt
 
@@ -787,7 +761,9 @@ and usage_error : 'a 'b. ('a, unit, string, 'b) format4 -> 'a =
 let rec parse_flags = function
   | [] -> []
   | a :: rest -> (
-      match List.find_opt (fun (names, _, _) -> List.mem a names) flags with
+      match
+        List.find_opt (fun (names, _, _) -> List.mem a names) (Lazy.force flags)
+      with
       | None -> a :: parse_flags rest
       | Some (_, Switch f, _) ->
           f ();

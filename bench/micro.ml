@@ -43,7 +43,9 @@ let run () =
               end)
             branches);
       bench "icache-16K/60k-insts" (fun () ->
-          let c = F.Icache.create ~size_bytes:16384 ~line_bytes:64 ~assoc:4 () in
+          let c =
+            F.Icache.create ~size_bytes:16384 ~line_bytes:64 ~assoc:4 ()
+          in
           Array.iter
             (fun (addr, size) -> ignore (F.Icache.access c ~addr ~size))
             insts);

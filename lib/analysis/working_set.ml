@@ -8,7 +8,9 @@ let curve ?(sizes = default_sizes) ?(line_bytes = 64) ?(assoc = 4) src =
       (Array.of_list
          (List.map (fun s -> Icache_sweep.cfg (s, line_bytes, assoc)) sizes))
   in
-  List.mapi (fun i s -> (s, Icache_sweep.mpki results.(i) Branch_mix.Total)) sizes
+  List.mapi
+    (fun i s -> (s, Icache_sweep.mpki results.(i) Branch_mix.Total))
+    sizes
 
 let knee ?(threshold = 0.5) curve =
   match List.rev curve with

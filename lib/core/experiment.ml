@@ -934,7 +934,8 @@ let fig9u_rows ~jobs ~where scale profiles =
     (fun (p : W.Profile.t) -> p.name)
     (fun (p : W.Profile.t) ->
       let r =
-        A.Icache_sweep.run (source scale p) [| A.Icache_sweep.cfg (16384, 128, 8) |]
+        A.Icache_sweep.run (source scale p)
+          [| A.Icache_sweep.cfg (16384, 128, 8) |]
       in
       A.Icache_sweep.usefulness r.(0))
     profiles
@@ -985,7 +986,9 @@ let learned ?jobs ~scale () =
   with
   | Some headline, Some sweep ->
       let n = float_of_int (List.length W.Suites.all) in
-      let mean i rows = List.fold_left (fun acc r -> acc +. r.(i)) 0.0 rows /. n in
+      let mean i rows =
+        List.fold_left (fun acc r -> acc +. r.(i)) 0.0 rows /. n
+      in
       let lru_mpki = mean 0 headline in
       let preuse_4way size =
         let rec index i = function

@@ -29,7 +29,8 @@ let predictor_table ?insts ~benchmarks () =
     Array.of_list
       (List.map opaque
          [ "gshare-small"; "tage-big"; "perceptron-128"; "two-level-10.10" ]
-      @ List.map A.Bp_sweep.of_static A.Bp_sweep.[ Always_taken; Always_not_taken; Btfn ])
+      @ List.map A.Bp_sweep.of_static
+          A.Bp_sweep.[ Always_taken; Always_not_taken; Btfn ])
   in
   table
     ~title:
@@ -71,7 +72,8 @@ let prefetch_table ?insts ~benchmarks () =
          and one with it, each result handed back in table order. *)
       let sweep pf =
         List.filter_map
-          (fun (_, geom, p) -> if p = pf then Some (A.Icache_sweep.cfg geom) else None)
+          (fun (_, geom, p) ->
+            if p = pf then Some (A.Icache_sweep.cfg geom) else None)
           configs
         |> Array.of_list
         |> A.Icache_sweep.run ~next_line_prefetch:pf src
