@@ -963,11 +963,8 @@ type learned = {
   crossover_size : int option;
 }
 
-let learned_sizes = [ 8192; 16384; 32768 ]
-
 (* Read back from fig8p's own rows, so a bench that just rendered
-   fig8p pays nothing but cache reads (or, with the disk cache off, a
-   replay of the memoized captures). *)
+   fig8p pays nothing but cache reads. *)
 let learned ?jobs ~scale () =
   let jobs =
     match jobs with Some j -> j | None -> Engine.default_jobs ()
@@ -991,17 +988,17 @@ let learned ?jobs ~scale () =
       in
       let lru_mpki = mean 0 headline in
       let preuse_4way size =
-        let rec index i = function
-          | p :: rest -> if p = (size, 64, 4) then i else index (i + 1) rest
-          | [] -> invalid_arg "Experiment.learned: size not swept"
-        in
-        mean (index 0 fig8_points) sweep
+        mean
+          (Option.get (List.find_index (( = ) (size, 64, 4)) fig8_points))
+          sweep
       in
       Some
         { lru_mpki;
           preuse_mpki = mean 1 headline;
           crossover_size =
-            List.find_opt (fun s -> preuse_4way s <= lru_mpki) learned_sizes }
+            List.find_opt
+              (fun s -> preuse_4way s <= lru_mpki)
+              [ 8192; 16384; 32768 ] }
   | _ -> None
 
 let fig9 ~jobs scale =
