@@ -49,11 +49,26 @@ let sanitize name =
       | _ -> '_')
     name
 
+(* Digesting a whole profile's text dominates a key, and a hot report
+   mints ~260 keys. The digest is memoized by name; a hit needs the
+   very same (immutable) profile value, so another profile under that
+   name is digested afresh and replaces the entry. *)
+let digest_lock = Mutex.create ()
+let digests = Hashtbl.create 64
+
+let profile_digest (profile : Repro_workload.Profile.t) =
+  let with_digests f = Mutex.protect digest_lock (fun () -> f digests) in
+  match with_digests (fun h -> Hashtbl.find_opt h profile.name) with
+  | Some (p, d) when p == profile -> d
+  | _ ->
+      let text = Repro_workload.Profile_io.to_string profile in
+      let d = Digest.to_hex (Digest.string text) in
+      with_digests (fun h -> Hashtbl.replace h profile.name (profile, d));
+      d
+
 let key ~profile ~scale ~kind =
   let fingerprint =
-    Printf.sprintf "v%s|%s|%h|%s" version
-      (Digest.to_hex (Digest.string (Repro_workload.Profile_io.to_string profile)))
-      scale kind
+    Printf.sprintf "v%s|%s|%h|%s" version (profile_digest profile) scale kind
   in
   { file =
       Printf.sprintf "%s-%s-%s%s" kind

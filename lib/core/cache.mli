@@ -51,7 +51,8 @@ val key : profile:Repro_workload.Profile.t -> scale:float -> kind:string -> key
 (** [kind] names the value type stored under the key (e.g. ["charz"],
     ["cmp"]); distinct kinds never collide. The profile is digested
     through its full {!Repro_workload.Profile_io} text, so any
-    parameter change yields a fresh key. *)
+    parameter change yields a fresh key. Each profile value is digested
+    once (another value under the same name is digested afresh). *)
 
 val path : key -> string
 (** Absolute or cwd-relative file the entry lives in. *)

@@ -80,6 +80,16 @@ let describe = function
 let memo_lock = Mutex.create ()
 let locked f = Mutex.protect memo_lock f
 
+(* Warm-up: one supervised batch of [f] over the [items] not yet in
+   [memo] under [key], so a fully memoized list runs no batch.
+   Failures are swallowed; the synchronous path meets them again. *)
+let warm ~jobs memo key f items =
+  let cold =
+    List.filter (fun x -> not (locked (fun () -> Hashtbl.mem memo (key x))))
+      items
+  in
+  ignore (Engine.map_result ~jobs f cold)
+
 let characterizations : (string * float, A.Characterization.t) Hashtbl.t =
   Hashtbl.create 64
 
@@ -402,9 +412,10 @@ let sweep_map ~jobs ~where profiles nconfigs run_range =
 
    Deliberately disk-only (no process-local memo on top): the bench
    probes re-run figures with the cache disabled and must observe a
-   true recompute, and the rows are small (a few hundred bytes) so
-   re-reading them is free. Only surviving rows are stored — a
-   benchmark that degraded to a hole recomputes on every visit. *)
+   true recompute. A render reads each row exactly once; only the
+   benchmarks that miss get their captures warmed before [compute].
+   Only surviving rows are stored — a benchmark that degraded to a
+   hole recomputes on every visit. *)
 
 (* Each figure's tag carries a digest of its configuration axis, so
    editing a figure's config list can never replay a stale row from
@@ -416,14 +427,21 @@ let row_tag base parts =
 let row_key ~tag ~scale (p : W.Profile.t) =
   Cache.key ~profile:p ~scale ~kind:("row." ^ tag)
 
-(* [rows_cached ~tag ~scale profiles compute] returns what [compute
-   profiles] would, but serves benchmarks whose row is already in the
-   persistent cache from it and only runs [compute] (the existing
-   supervised bench_map/sweep_map machinery) over the misses,
-   stitching results back in input order. Hit/miss accounting mirrors
-   {!Cache.memoize} so the engine-stats footer and telemetry stay
-   truthful. *)
-let rows_cached ~tag ~scale profiles compute =
+(* [rows_cached ~jobs ~tag ~scale profiles compute] returns what
+   [compute profiles] would, but serves benchmarks whose row is
+   already in the persistent cache from it and only runs [compute]
+   (the existing supervised bench_map/sweep_map machinery) over the
+   misses, stitching results back in input order. The misses'
+   captures are warmed first, so sliced sweeps never race to capture
+   one. Hit/miss accounting mirrors {!Cache.memoize} so the
+   engine-stats footer and telemetry stay truthful. *)
+let rows_cached ~jobs ~tag ~scale profiles compute =
+  let compute ps =
+    warm ~jobs packed_traces
+      (fun (p : W.Profile.t) -> (p.name, scale))
+      (packed_trace scale) ps;
+    compute ps
+  in
   if not (Cache.enabled ()) then compute profiles
   else begin
     let probed =
@@ -719,7 +737,7 @@ let fig5_rows ~jobs ~where scale profiles =
 let fig5_suite_mpki ~jobs scale suite =
   let profiles = W.Suites.by_suite suite in
   let where = "fig5/" ^ Suite.to_string suite in
-  rows_cached ~tag:fig5_tag ~scale profiles (fig5_rows ~jobs ~where scale)
+  rows_cached ~jobs ~tag:fig5_tag ~scale profiles (fig5_rows ~jobs ~where scale)
 
 let fig5 ~jobs scale =
   let t =
@@ -757,9 +775,9 @@ let fig5 ~jobs scale =
 let fig6_configs = [ "gshare-big"; "gshare-small"; "L-gshare-small" ]
 let fig6_tag = row_tag "fig6" fig6_configs
 
-let fig6_rows ~jobs scale profiles =
+let fig6_rows ~jobs ~where scale profiles =
   let configs = fig6_configs in
-  bench_map ~jobs ~where:"fig6"
+  bench_map ~jobs ~where
     (fun (p : W.Profile.t) -> p.name)
     (fun (p : W.Profile.t) ->
       let specs = Array.of_list (List.map A.Bp_sweep.of_name configs) in
@@ -787,9 +805,9 @@ let fig6 ~jobs scale =
   in
   let ncells = List.length configs * List.length A.Bp_sweep.causes in
   let rows =
-    rows_cached ~tag:fig6_tag ~scale
+    rows_cached ~jobs ~tag:fig6_tag ~scale
       (List.map W.Suites.find W.Suites.fig6_subset)
-      (fig6_rows ~jobs scale)
+      (fig6_rows ~jobs ~where:"fig6" scale)
   in
   List.iter2
     (fun name row ->
@@ -831,7 +849,7 @@ let fig7 ~jobs scale =
       let profiles = W.Suites.by_suite suite in
       let where = "fig7/" ^ Suite.to_string suite in
       let per_bench =
-        rows_cached ~tag:fig7_tag ~scale profiles
+        rows_cached ~jobs ~tag:fig7_tag ~scale profiles
           (fig7_rows ~jobs ~where scale)
       in
       Table.add_row t
@@ -874,7 +892,8 @@ let icache_table ~jobs ~tag ~where:where_root ~title ~configs ~benchmarks scale
           configs)
   in
   let mpki_rows ~where profiles =
-    rows_cached ~tag ~scale profiles (icache_rows ~jobs ~where ~configs scale)
+    rows_cached ~jobs ~tag ~scale profiles
+      (icache_rows ~jobs ~where ~configs scale)
   in
   if per_suite then
     List.iter
@@ -971,7 +990,7 @@ let learned ?jobs ~scale () =
   in
   let rows ~tag ~configs =
     let per_bench =
-      rows_cached ~tag ~scale W.Suites.all
+      rows_cached ~jobs ~tag ~scale W.Suites.all
         (icache_rows ~jobs ~where:"learned" ~configs scale)
     in
     let oks = List.filter_map Result.to_option per_bench in
@@ -1017,7 +1036,7 @@ let fig9 ~jobs scale =
     (fun suite ->
       let where = "fig9-usefulness/" ^ Suite.to_string suite in
       let per_bench =
-        rows_cached ~tag:fig9u_tag ~scale (W.Suites.by_suite suite)
+        rows_cached ~jobs ~tag:fig9u_tag ~scale (W.Suites.by_suite suite)
           (fig9u_rows ~jobs ~where scale)
       in
       let measured =
@@ -1072,6 +1091,22 @@ let tab2 () =
 (* ------------------------------------------------------------------ *)
 (* Table III *)
 
+(* Each design point's budget, core area and core power: static, but
+   [Mcpat.budget] builds real I-cache and BTB instances, so they are
+   computed once per process. *)
+let tab3_points = ref None
+
+let tab3_model () =
+  let point cfg =
+    (U.Mcpat.budget cfg, U.Mcpat.core_area_mm2 cfg, U.Mcpat.core_power_w cfg)
+  in
+  locked (fun () ->
+      if !tab3_points = None then
+        tab3_points :=
+          Some (point U.Frontend_config.baseline,
+                point U.Frontend_config.tailored);
+      Option.get !tab3_points)
+
 let tab3 () =
   let t =
     Table.create
@@ -1088,12 +1123,8 @@ let tab3 () =
         Table.fmt_float ~decimals:3 paper_power ]
   in
   let open Paper_data in
-  let b = U.Mcpat.budget U.Frontend_config.baseline in
-  let tl = U.Mcpat.budget U.Frontend_config.tailored in
-  row "baseline core"
-    (U.Mcpat.core_area_mm2 U.Frontend_config.baseline)
-    tab3_baseline_core.area_mm2
-    (U.Mcpat.core_power_w U.Frontend_config.baseline)
+  let (b, b_area, b_power), (tl, tl_area, tl_power) = tab3_model () in
+  row "baseline core" b_area tab3_baseline_core.area_mm2 b_power
     tab3_baseline_core.power_w;
   row "  I-cache 32KB/64B" b.icache_mm2 tab3_baseline_icache.area_mm2
     b.icache_w tab3_baseline_icache.power_w;
@@ -1102,10 +1133,7 @@ let tab3 () =
   row "  BTB 2K" b.btb_mm2 tab3_baseline_btb.area_mm2 b.btb_w
     tab3_baseline_btb.power_w;
   Table.add_separator t;
-  row "tailored core"
-    (U.Mcpat.core_area_mm2 U.Frontend_config.tailored)
-    tab3_tailored_core.area_mm2
-    (U.Mcpat.core_power_w U.Frontend_config.tailored)
+  row "tailored core" tl_area tab3_tailored_core.area_mm2 tl_power
     tab3_tailored_core.power_w;
   row "  I-cache 16KB/128B" tl.icache_mm2 tab3_tailored_icache.area_mm2
     tl.icache_w tab3_tailored_icache.power_w;
@@ -1118,14 +1146,12 @@ let tab3 () =
       [ ("metric", Table.Left); ("measured", Table.Right);
         ("paper", Table.Right) ]
   in
+  (* As [Mcpat.area_saving_vs_baseline] and [power_saving_vs_baseline]. *)
   Table.add_row headline
-    [ "core area saving";
-      Table.fmt_pct (U.Mcpat.area_saving_vs_baseline U.Frontend_config.tailored);
+    [ "core area saving"; Table.fmt_pct (1.0 -. (tl_area /. b_area));
       Table.fmt_pct headline_area_saving ];
   Table.add_row headline
-    [ "core power saving";
-      Table.fmt_pct
-        (U.Mcpat.power_saving_vs_baseline U.Frontend_config.tailored);
+    [ "core power saving"; Table.fmt_pct (1.0 -. (tl_power /. b_power));
       Table.fmt_pct headline_power_saving ];
   [ t; headline ]
 
@@ -1238,21 +1264,16 @@ let task_id t = t.t_kind ^ "|" ^ t.t_bench
 let row_runners : (string * (jobs:int -> float -> W.Profile.t list -> unit)) list
     =
   let runner tag rows ~jobs scale ps =
-    ignore (rows_cached ~tag ~scale ps (rows ~jobs ~where:("task/" ^ tag) scale))
+    ignore
+      (rows_cached ~jobs ~tag ~scale ps
+         (rows ~jobs ~where:("task/" ^ tag) scale))
   in
   [ (fig5_tag, runner fig5_tag fig5_rows);
-    (fig6_tag,
-     fun ~jobs scale ps ->
-       ignore (rows_cached ~tag:fig6_tag ~scale ps (fig6_rows ~jobs scale)));
+    (fig6_tag, runner fig6_tag fig6_rows);
     (fig7_tag, runner fig7_tag fig7_rows);
     (fig9u_tag, runner fig9u_tag fig9u_rows) ]
   @ List.map
-      (fun (tag, configs) ->
-        ( tag,
-          fun ~jobs scale ps ->
-            ignore
-              (rows_cached ~tag ~scale ps
-                 (icache_rows ~jobs ~where:("task/" ^ tag) ~configs scale)) ))
+      (fun (tag, configs) -> (tag, runner tag (icache_rows ~configs)))
       [ (fig8_tag, fig8_cfgs); (fig8p_tag, fig8p_cfgs);
         (fig8ph_tag, fig8ph_cfgs); (fig9_tag, fig9_cfgs) ]
 
@@ -1302,67 +1323,30 @@ let run_task ~scale { t_kind; t_bench } =
           | None -> false)
       | _ -> false)
 
-(* Parallel prefetch of the memoized quantities an experiment reads:
-   the table-building code afterwards only takes memo hits, so its
-   (deterministic) row order never depends on worker scheduling.
-
-   Prefetch is purely a warm-up, so failures are swallowed rather
-   than recorded as holes: a benchmark whose prefetch died (e.g. its
-   sweep's engine task kept hitting the [engine.task] fault site) is
-   recomputed on the synchronous path when the table code reads it,
-   and only a failure there is a real loss.
-
-   Every measured figure reads its benchmarks through [source], so
-   the charz and CMP prefetches capture exactly the traces [traces]
-   warms for the sweeps, and a later figure replays them.
-
-   For the trace-simulating figures the render reads nothing but the
-   persisted row artifacts, so a benchmark whose rows for this
-   experiment are all already in the {!Cache} — a warm rerun, or a
-   sweep just computed by dispatch workers — needs no packed capture
-   at all; warming it would cost more than the render itself. *)
+(* Parallel prefetch of the characterizations and CMP evaluations an
+   experiment reads, so the table code afterwards only takes memo hits
+   and its row order never depends on worker scheduling. A benchmark
+   whose prefetch died (e.g. on the [engine.task] fault site) is
+   recomputed when the table code reads it; only a failure there is
+   a real loss. The sweep figures need no prefetch: [rows_cached]
+   reads each row once and warms captures only for the misses. *)
 let prefetch ~jobs scale id =
-  let sup f profiles = ignore (Engine.map_result ~jobs f profiles) in
-  let charz profiles = sup (fun p -> ignore (characterize scale p)) profiles in
-  let cmps family profiles =
-    sup (fun p -> ignore (evaluate_cmps family scale p)) profiles
+  let charz =
+    warm ~jobs characterizations
+      (fun (p : W.Profile.t) -> (p.name, scale))
+      (characterize scale)
   in
-  let traces profiles =
-    let uncached =
-      if not (Cache.enabled ()) then profiles
-      else begin
-        let missing : (string, unit) Hashtbl.t = Hashtbl.create 16 in
-        List.iter
-          (fun { t_kind; t_bench } ->
-            if String.length t_kind > 4 && String.sub t_kind 0 4 = "row."
-            then
-              let tag = String.sub t_kind 4 (String.length t_kind - 4) in
-              match
-                List.find_opt
-                  (fun (p : W.Profile.t) -> String.equal p.name t_bench)
-                  profiles
-              with
-              | Some p -> (
-                  match Cache.find (row_key ~tag ~scale p) with
-                  | Some _ -> ()
-                  | None -> Hashtbl.replace missing p.name ())
-              | None -> ())
-          (tasks_for id);
-        List.filter
-          (fun (p : W.Profile.t) -> Hashtbl.mem missing p.name)
-          profiles
-      end
-    in
-    sup (fun p -> ignore (packed_trace scale p)) uncached
+  let cmps ((kind, _) as family) =
+    warm ~jobs cmp_evals
+      (fun (p : W.Profile.t) -> (kind, p.name, scale))
+      (evaluate_cmps family scale)
   in
   match id with
   | Fig1 | Fig2 | Tab1 | Fig3 | Fig4 -> charz W.Suites.all
   | Fig10 -> cmps cmp_standard W.Suites.all
   | Fig10p -> cmps cmp_learned W.Suites.all
   | Fig11 -> cmps cmp_standard (List.map W.Suites.find W.Suites.fig11_subset)
-  | Fig5 | Fig7 | Fig8 | Fig8p | Fig9 -> traces W.Suites.all
-  | Fig6 -> traces (List.map W.Suites.find W.Suites.fig6_subset)
-  | Tab2 | Tab3 -> ()
+  | Fig5 | Fig6 | Fig7 | Fig8 | Fig8p | Fig9 | Tab2 | Tab3 -> ()
 
 (* Appendix rendered after a degraded run: one row per lost
    measurement, so a "!" in a table above is traceable to the

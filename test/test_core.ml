@@ -341,6 +341,136 @@ let test_cache_store_propagates_non_io_failures () =
       Alcotest.(check int) "and leaves no temp or entry behind" 0
         (Array.length (Sys.readdir (C.Cache.dir ()))))
 
+(* ------------------------------------------------------------------ *)
+(* Hot renders: memoized key digests, one read per row, no Engine
+   batch for memo hits, Table III computed once. *)
+
+(* The key formula as it stood before the digest memo, recomputed
+   from scratch. *)
+let reference_key_file ~(profile : W.Profile.t) ~scale ~kind =
+  let sanitize =
+    String.map (function
+      | ('a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '.') as c -> c
+      | _ -> '_')
+  in
+  let fingerprint =
+    Printf.sprintf "v%s|%s|%h|%s" C.Cache.version
+      (Digest.to_hex (Digest.string (W.Profile_io.to_string profile)))
+      scale kind
+  in
+  Printf.sprintf "%s-%s-%s.bin" kind (sanitize profile.name)
+    (Digest.to_hex (Digest.string fingerprint))
+
+let key_file ~profile ~scale ~kind =
+  Filename.basename (C.Cache.path (C.Cache.key ~profile ~scale ~kind))
+
+let test_key_memo_matches_formula () =
+  List.iter
+    (fun (p : W.Profile.t) ->
+      let expect = reference_key_file ~profile:p ~scale:0.05 ~kind:"row.t:1" in
+      (* The first call may fill the memo; the second must hit it. *)
+      for _ = 1 to 2 do
+        Alcotest.(check string) p.name expect
+          (key_file ~profile:p ~scale:0.05 ~kind:"row.t:1")
+      done)
+    W.Suites.all
+
+let test_key_memo_same_name_other_profile () =
+  let p = W.Suites.find "FT" in
+  let k () = key_file ~profile:p ~scale:0.05 ~kind:"charz" in
+  let before = k () in
+  let q = { p with total_insts = p.total_insts + 1 } in
+  let kq = key_file ~profile:q ~scale:0.05 ~kind:"charz" in
+  Alcotest.(check string) "the copy keys by its own digest"
+    (reference_key_file ~profile:q ~scale:0.05 ~kind:"charz") kq;
+  Alcotest.(check bool) "a changed field changes the key" true (kq <> before);
+  Alcotest.(check string) "the original still keys as before" before (k ())
+
+let test_key_memo_concurrent () =
+  (* Fresh physical copies under the same names make both domains
+     digest and replace memo entries while the other reads them. *)
+  let items =
+    List.concat_map
+      (fun (p : W.Profile.t) -> List.init 4 (fun _ -> { p with name = p.name }))
+      W.Suites.all
+  in
+  let expect (p : W.Profile.t) =
+    reference_key_file ~profile:p ~scale:0.25 ~kind:"cmp"
+  in
+  let got =
+    C.Engine.map ~jobs:2 (fun p -> key_file ~profile:p ~scale:0.25 ~kind:"cmp")
+      items
+  in
+  Alcotest.(check (list string)) "2 domains agree with the formula"
+    (List.map expect items) got
+
+let hot_scale = 0.01
+
+let count_spans name =
+  let rec count (s : Repro_util.Telemetry.span) =
+    (if s.sname = name then 1 else 0)
+    + List.fold_left (fun n c -> n + count c) 0 s.schildren
+  in
+  List.fold_left (fun n s -> n + count s) 0 (Repro_util.Telemetry.spans ())
+
+let with_hot_cache f =
+  with_test_cache (fun () ->
+      Fun.protect
+        ~finally:(fun () ->
+          Repro_util.Telemetry.reset ();
+          Repro_util.Telemetry.set_enabled false;
+          C.Experiment.clear_cache ())
+        f)
+
+let test_warm_render_reads_each_row_once () =
+  with_hot_cache (fun () ->
+      List.iter
+        (fun id ->
+          let cold = C.Report.run_to_string ~scale:hot_scale ~jobs:2 id in
+          C.Experiment.clear_cache ();
+          Repro_util.Telemetry.set_enabled true;
+          Repro_util.Telemetry.reset ();
+          let warm = C.Report.run_to_string ~scale:hot_scale ~jobs:2 id in
+          let finds = count_spans "cache.find" in
+          let hits = Repro_util.Telemetry.counter "cache.hits" in
+          Repro_util.Telemetry.set_enabled false;
+          let name = C.Experiment.to_string id in
+          let tasks = List.length (C.Experiment.tasks_for id) in
+          Alcotest.(check string) (name ^ " renders the same warm") cold warm;
+          Alcotest.(check int) (name ^ ": every row a hit") tasks hits;
+          Alcotest.(check int) (name ^ ": one cache.find per task") tasks finds)
+        [ C.Experiment.Fig8p; C.Experiment.Fig9 ])
+
+let test_memoized_render_runs_no_batch () =
+  with_hot_cache (fun () ->
+      List.iter
+        (fun id ->
+          let start = C.Engine.stats () in
+          let first = C.Report.run_to_string ~scale:hot_scale ~jobs:2 id in
+          let before = C.Engine.stats () in
+          let name = C.Experiment.to_string id in
+          Alcotest.(check bool) (name ^ ": the first render batches") true
+            (before.batches > start.batches);
+          let second = C.Report.run_to_string ~scale:hot_scale ~jobs:2 id in
+          let after = C.Engine.stats () in
+          Alcotest.(check string) (name ^ " renders the same") first second;
+          Alcotest.(check int) (name ^ ": no Engine batch") before.batches
+            after.batches;
+          Alcotest.(check int) (name ^ ": no Engine task") before.tasks_run
+            after.tasks_run)
+        [ C.Experiment.Fig1; C.Experiment.Fig10 ])
+
+let test_tab3_memo () =
+  let golden =
+    In_channel.with_open_bin "golden/tab3.expected" In_channel.input_all
+  in
+  let render () = C.Report.run_to_string ~scale:0.05 C.Experiment.Tab3 in
+  Alcotest.(check string) "first render matches the golden" golden (render ());
+  (* Tables are fresh per call: mutating one changes no later render. *)
+  List.iter Repro_util.Table.add_separator
+    (C.Experiment.run ~scale:0.05 C.Experiment.Tab3);
+  Alcotest.(check string) "second render matches the golden" golden (render ())
+
 let () =
   Alcotest.run "core"
     [ ("experiment",
@@ -371,6 +501,18 @@ let () =
            test_cache_store_concurrent_clear;
          Alcotest.test_case "non-IO failures propagate" `Quick
            test_cache_store_propagates_non_io_failures ]);
+      ("hot render",
+       [ Alcotest.test_case "key memo matches the formula" `Quick
+           test_key_memo_matches_formula;
+         Alcotest.test_case "key memo: same name, other profile" `Quick
+           test_key_memo_same_name_other_profile;
+         Alcotest.test_case "key memo from 2 domains" `Quick
+           test_key_memo_concurrent;
+         Alcotest.test_case "warm render reads each row once" `Slow
+           test_warm_render_reads_each_row_once;
+         Alcotest.test_case "memoized render runs no batch" `Slow
+           test_memoized_render_runs_no_batch;
+         Alcotest.test_case "tab3 computed once" `Quick test_tab3_memo ]);
       ("rebalance",
        [ Alcotest.test_case "estimate" `Quick test_rebalance_estimate;
          Alcotest.test_case "recommends small for HPC" `Slow
