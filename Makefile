@@ -3,7 +3,7 @@
 
 DUNE ?= dune
 
-.PHONY: all build test smoke bench bench-json ci ci-faults ci-serve ci-dist ci-remote clean cache-clear
+.PHONY: all build test smoke bench bench-json ci ci-faults ci-serve ci-dist ci-remote clean cache-clear loc
 
 all: build
 
@@ -154,3 +154,24 @@ clean:
 
 cache-clear:
 	$(DUNE) exec bin/repro_cli.exe -- cache clear
+
+# Line counts of the .ml/.mli files under lib/, bin/ and bench/, per
+# directory and in total: all lines, and code lines (lines with
+# something outside a comment; blank and comment-only lines are not
+# code). Character literals are blanked first so '"' opens no string.
+loc:
+	@find lib bin bench -name '*.ml' -o -name '*.mli' | sort | xargs awk ' \
+	  FNR == 1 { depth = 0; instr = 0; split(FILENAME, p, "/"); d = p[1] } \
+	  { line = $$0; code = 0; \
+	    gsub(/\047(\\\\|\\"|[^\\\047])\047/, "c", line); \
+	    for (i = 1; i <= length(line); i++) { \
+	      c = substr(line, i, 1); c2 = substr(line, i, 2); \
+	      if (instr) { code = 1; if (c == "\\") i++; else if (c == "\"") instr = 0 } \
+	      else if (c2 == "(*") { depth++; i++ } \
+	      else if (depth > 0) { if (c2 == "*)") { depth--; i++ } } \
+	      else if (c == "\"") { instr = 1; code = 1 } \
+	      else if (c != " " && c != "\t") code = 1 } \
+	    lines[d]++; codes[d] += code; lines["total"]++; codes["total"] += code } \
+	  END { n = split("lib bin bench total", ds, " "); \
+	    for (k = 1; k <= n; k++) \
+	      printf "%-6s %6d lines %6d code\n", ds[k], lines[ds[k]], codes[ds[k]] }'

@@ -27,47 +27,6 @@ let all =
   [ Fig1; Fig2; Tab1; Fig3; Fig4; Fig5; Fig6; Fig7; Fig8; Fig8p; Fig9; Tab2;
     Tab3; Fig10; Fig10p; Fig11 ]
 
-let to_string = function
-  | Fig1 -> "fig1"
-  | Fig2 -> "fig2"
-  | Tab1 -> "tab1"
-  | Fig3 -> "fig3"
-  | Fig4 -> "fig4"
-  | Fig5 -> "fig5"
-  | Fig6 -> "fig6"
-  | Fig7 -> "fig7"
-  | Fig8 -> "fig8"
-  | Fig8p -> "fig8p"
-  | Fig9 -> "fig9"
-  | Tab2 -> "tab2"
-  | Tab3 -> "tab3"
-  | Fig10 -> "fig10"
-  | Fig10p -> "fig10p"
-  | Fig11 -> "fig11"
-
-let of_string s =
-  List.find_opt (fun id -> String.equal (to_string id) s) all
-
-let describe = function
-  | Fig1 -> "Dynamic branch instruction breakdown per suite (% of instructions)"
-  | Fig2 -> "Distribution of conditional-branch directions (bias deciles)"
-  | Tab1 -> "Backward vs forward taken conditional branches"
-  | Fig3 -> "Static instruction footprint and 99%-dynamic footprint"
-  | Fig4 -> "Average basic-block length and distance between taken branches"
-  | Fig5 -> "Branch MPKI for eleven predictor configurations"
-  | Fig6 -> "Branch MPKI breakdown by mispredicted outcome (gshare)"
-  | Fig7 -> "BTB MPKI across entry counts and associativities"
-  | Fig8 -> "I-cache MPKI across sizes and associativities (64B lines)"
-  | Fig8p ->
-      "I-cache MPKI under perceptron reuse/bypass replacement (64B lines)"
-  | Fig9 -> "I-cache MPKI across line widths (16KB)"
-  | Tab2 -> "Branch-predictor size parameters and hardware budgets"
-  | Tab3 -> "Front-end structure shares of core area and power"
-  | Fig10 -> "CMP execution time, power, energy and ED per suite"
-  | Fig10p -> "CMP comparison with learned I-cache replacement in the \
-               tailored core"
-  | Fig11 -> "Per-benchmark normalized CMP execution time"
-
 (* ------------------------------------------------------------------ *)
 (* Memoized measurements.
 
@@ -107,14 +66,6 @@ let scaled_insts (p : W.Profile.t) scale =
    and count nothing. *)
 let note_sim_insts n = Repro_util.Telemetry.add "experiment.sim_insts" n
 
-(* Environment toggles are re-read on use (tests flip them with
-   [putenv], and the Server daemon's reload path re-reads them) but
-   validated with a warning only once per variable, through the
-   shared {!Repro_util.Env} helper: a malformed value warns on stderr
-   with the accepted forms and falls back to the default instead of
-   being silently ignored. *)
-let env_flag name ~default = Repro_util.Env.flag ~name ~default
-
 (* ------------------------------------------------------------------ *)
 (* Strict mode and degradation holes.
 
@@ -128,10 +79,13 @@ let env_flag name ~default = Repro_util.Env.flag ~name ~default
 let strict_override = ref None
 let set_strict b = strict_override := Some b
 
+(* [REPRO_STRICT] is re-read on use (tests flip it with [putenv], and
+   the Server daemon's reload path re-reads it) but validated with a
+   warning only once, through {!Repro_util.Env}. *)
 let strict_enabled () =
   match !strict_override with
   | Some b -> b
-  | None -> env_flag "REPRO_STRICT" ~default:false
+  | None -> Repro_util.Env.flag ~name:"REPRO_STRICT" ~default:false
 
 (* Cell marker for a measurement lost to a failed benchmark. A bare
    "-" already means "metric not defined here"; "!" is visibly a
@@ -360,42 +314,25 @@ let sweep_map ~jobs ~where profiles nconfigs run_range =
       List.concat_map (fun p -> List.map (fun r -> (p, r)) ranges) profiles
     in
     let parts =
-      Engine.map_result ~jobs ~fail_fast:(strict_enabled ())
-        (fun (p, (lo, hi)) -> run_range p lo hi)
-        tasks
+      Array.of_list
+        (Engine.map_result ~jobs ~fail_fast:(strict_enabled ())
+           (fun (p, (lo, hi)) -> run_range p lo hi)
+           tasks)
     in
-    (* Reassemble: tasks were emitted benchmark-major with ranges in
-       ascending order, so consecutive runs of [groups] parts belong
-       to one benchmark. *)
-    let rec take n l acc =
-      if n = 0 then (List.rev acc, l)
-      else
-        match l with
-        | x :: tl -> take (n - 1) tl (x :: acc)
-        | [] -> invalid_arg "sweep_map: uneven parts"
-    in
-    let rec stitch profiles parts =
-      match profiles with
-      | [] -> []
-      | (p : W.Profile.t) :: ptl ->
-          let mine, rest = take groups parts [] in
-          let row =
-            List.fold_left
-              (fun acc part ->
-                match (acc, part) with
-                | Ok done_, Ok arr -> Ok (arr :: done_)
-                | (Error _ as e), _ -> e
-                | Ok _, Error fl -> Error fl)
-              (Ok []) mine
-          in
-          (match row with
-          | Ok arrs -> Ok (Array.concat (List.rev arrs))
-          | Error fl ->
-              record_hole (where ^ "/" ^ p.name) fl;
-              Error ())
-          :: stitch ptl rest
-    in
-    stitch profiles parts
+    (* Tasks were emitted benchmark-major with ranges in ascending
+       order, so benchmark [b]'s parts start at [b * groups]. *)
+    List.mapi
+      (fun b (p : W.Profile.t) ->
+        let mine = Array.sub parts (b * groups) groups in
+        match
+          Array.find_map (function Error fl -> Some fl | Ok _ -> None) mine
+        with
+        | Some fl ->
+            record_hole (where ^ "/" ^ p.name) fl;
+            Error ()
+        | None ->
+            Ok (Array.concat (List.map Result.get_ok (Array.to_list mine))))
+      profiles
   end
 
 (* ------------------------------------------------------------------ *)
@@ -424,30 +361,40 @@ let row_tag base parts =
   base ^ ":"
   ^ String.sub (Digest.to_hex (Digest.string (String.concat "," parts))) 0 8
 
-let row_key ~tag ~scale (p : W.Profile.t) =
-  Cache.key ~profile:p ~scale ~kind:("row." ^ tag)
+(* A figure's row artifact: its tag, declared once, and the
+   supervised computation of the rows under that tag. A render, the
+   task decomposition and a dispatch worker all reach a row through
+   this one value, so a tag can never be paired with the wrong rows.
+   [compute ~jobs ~where scale profiles] returns one result per
+   profile, in order; [where] names the measurement in a hole. *)
+type 'a row_family = {
+  tag : string;
+  compute :
+    jobs:int -> where:string -> float -> W.Profile.t list ->
+    ('a, unit) result list;
+}
 
-(* [rows_cached ~jobs ~tag ~scale profiles compute] returns what
-   [compute profiles] would, but serves benchmarks whose row is
-   already in the persistent cache from it and only runs [compute]
-   (the existing supervised bench_map/sweep_map machinery) over the
-   misses, stitching results back in input order. The misses'
-   captures are warmed first, so sliced sweeps never race to capture
-   one. Hit/miss accounting mirrors {!Cache.memoize} so the
-   engine-stats footer and telemetry stay truthful. *)
-let rows_cached ~jobs ~tag ~scale profiles compute =
+(* [rows_cached ~jobs ~where scale rows profiles] returns what
+   [rows.compute] would, but serves benchmarks whose row is already
+   in the persistent cache from it and only computes (through the
+   supervised bench_map/sweep_map machinery) the misses, stitching
+   results back in input order. The misses' captures are warmed
+   first, so sliced sweeps never race to capture one. Hit/miss
+   accounting mirrors {!Cache.memoize} so the engine-stats footer and
+   telemetry stay truthful. *)
+let rows_cached ~jobs ~where scale rows profiles =
   let compute ps =
     warm ~jobs packed_traces
       (fun (p : W.Profile.t) -> (p.name, scale))
       (packed_trace scale) ps;
-    compute ps
+    rows.compute ~jobs ~where scale ps
   in
   if not (Cache.enabled ()) then compute profiles
   else begin
     let probed =
       List.map
         (fun (p : W.Profile.t) ->
-          let k = row_key ~tag ~scale p in
+          let k = Cache.key ~profile:p ~scale ~kind:("row." ^ rows.tag) in
           (k, Cache.find k))
         profiles
     in
@@ -503,6 +450,26 @@ let mean_cells ?(fmt = Table.fmt_float ~decimals:2) per_bench n =
   else
     List.init n (fun i -> fmt (mean_at oks i))
 
+(* One table row per benchmark: [cells row], or [n] holes for a
+   benchmark whose measurement failed. *)
+let add_bench_rows t names n cells per_bench =
+  List.iter2
+    (fun name row ->
+      Table.add_row t
+        (name
+        ::
+        (match row with
+        | Ok r -> cells r
+        | Error () -> List.init n (fun _ -> hole_cell))))
+    names per_bench
+
+(* The scopes a suite is reported over: HPC suites split into their
+   serial and parallel sections. *)
+let scopes suite =
+  if Suite.is_hpc suite then
+    [ ("total", total); ("serial", serial); ("parallel", parallel) ]
+  else [ ("total", total) ]
+
 let suite_results scale suite =
   List.map (characterize scale) (W.Suites.by_suite suite)
 
@@ -538,7 +505,7 @@ let scoped_table ~title ~metric ~paper scale =
 (* ------------------------------------------------------------------ *)
 (* Fig 1 *)
 
-let fig1 scale =
+let fig1 ~jobs:_ scale =
   let breakdown =
     Table.create ~title:"Fig 1: dynamic branch breakdown [% of instructions]"
       ([ ("suite", Table.Left); ("scope", Table.Left) ]
@@ -550,11 +517,6 @@ let fig1 scale =
   List.iter
     (fun suite ->
       let rs = suite_results scale suite in
-      let scopes =
-        if Suite.is_hpc suite then
-          [ ("total", total); ("serial", serial); ("parallel", parallel) ]
-        else [ ("total", total) ]
-      in
       List.iter
         (fun (label, scope) ->
           Table.add_row breakdown
@@ -572,7 +534,7 @@ let fig1 scale =
                      (mean rs (fun r ->
                           A.Branch_mix.branch_fraction
                             r.A.Characterization.mix scope))) ]))
-        scopes;
+        (scopes suite);
       Table.add_separator breakdown)
     Suite.all;
   let vs_paper =
@@ -587,7 +549,7 @@ let fig1 scale =
 (* ------------------------------------------------------------------ *)
 (* Fig 2 *)
 
-let fig2 scale =
+let fig2 ~jobs:_ scale =
   let t =
     Table.create
       ~title:
@@ -601,11 +563,6 @@ let fig2 scale =
   List.iter
     (fun suite ->
       let rs = suite_results scale suite in
-      let scopes =
-        if Suite.is_hpc suite then
-          [ ("total", total); ("serial", serial); ("parallel", parallel) ]
-        else [ ("total", total) ]
-      in
       List.iter
         (fun (label, scope) ->
           (* One histogram pass per benchmark and scope. *)
@@ -622,7 +579,7 @@ let fig2 scale =
                 (if label = "total" then
                    f1 (paper_of Paper_data.fig2_biased_pct suite)
                  else "") ]))
-        scopes;
+        (scopes suite);
       Table.add_separator t)
     Suite.all;
   [ t ]
@@ -630,7 +587,7 @@ let fig2 scale =
 (* ------------------------------------------------------------------ *)
 (* Table I *)
 
-let tab1 scale =
+let tab1 ~jobs:_ scale =
   let t =
     Table.create
       ~title:"Table I: backward vs forward taken conditional branches [%]"
@@ -672,7 +629,7 @@ let tab1 scale =
 (* ------------------------------------------------------------------ *)
 (* Fig 3 *)
 
-let fig3 scale =
+let fig3 ~jobs:_ scale =
   let t =
     Table.create
       ~title:"Fig 3: instruction footprints [KB]"
@@ -701,7 +658,7 @@ let fig3 scale =
 (* ------------------------------------------------------------------ *)
 (* Fig 4 *)
 
-let fig4 scale =
+let fig4 ~jobs:_ scale =
   let bbl =
     scoped_table ~title:"Fig 4a: average basic-block length [bytes]"
       ~metric:(fun scope r ->
@@ -722,22 +679,18 @@ let fig4 scale =
 (* ------------------------------------------------------------------ *)
 (* Fig 5 *)
 
-let fig5_tag = row_tag "fig5" F.Zoo.all_names
-
-let fig5_rows ~jobs ~where scale profiles =
+let fig5_rows =
   let names = Array.of_list F.Zoo.all_names in
-  sweep_map ~jobs ~where profiles (Array.length names) (fun p lo hi ->
-      let specs =
-        Array.init (hi - lo) (fun i -> A.Bp_sweep.of_name names.(lo + i))
-      in
-      Array.map
-        (fun r -> A.Bp_sweep.mpki r total)
-        (A.Bp_sweep.run (source scale p) specs))
-
-let fig5_suite_mpki ~jobs scale suite =
-  let profiles = W.Suites.by_suite suite in
-  let where = "fig5/" ^ Suite.to_string suite in
-  rows_cached ~jobs ~tag:fig5_tag ~scale profiles (fig5_rows ~jobs ~where scale)
+  { tag = row_tag "fig5" F.Zoo.all_names;
+    compute =
+      (fun ~jobs ~where scale profiles ->
+        sweep_map ~jobs ~where profiles (Array.length names) (fun p lo hi ->
+            let specs =
+              Array.init (hi - lo) (fun i -> A.Bp_sweep.of_name names.(lo + i))
+            in
+            Array.map
+              (fun r -> A.Bp_sweep.mpki r total)
+              (A.Bp_sweep.run (source scale p) specs))) }
 
 let fig5 ~jobs scale =
   let t =
@@ -747,15 +700,14 @@ let fig5 ~jobs scale =
   in
   List.iter
     (fun suite ->
-      let per_bench = fig5_suite_mpki ~jobs scale suite in
+      let per_bench =
+        rows_cached ~jobs ~where:("fig5/" ^ Suite.to_string suite) scale
+          fig5_rows (W.Suites.by_suite suite)
+      in
       Table.add_row t
         (Suite.to_string suite
         :: mean_cells per_bench (List.length F.Zoo.all_names));
-      let paper =
-        List.assoc_opt suite
-          (List.map (fun (s, l) -> (s, l)) Paper_data.fig5_mpki)
-      in
-      match paper with
+      match List.assoc_opt suite Paper_data.fig5_mpki with
       | None -> ()
       | Some l ->
           Table.add_row t
@@ -773,24 +725,24 @@ let fig5 ~jobs scale =
 (* Fig 6 *)
 
 let fig6_configs = [ "gshare-big"; "gshare-small"; "L-gshare-small" ]
-let fig6_tag = row_tag "fig6" fig6_configs
 
-let fig6_rows ~jobs ~where scale profiles =
-  let configs = fig6_configs in
-  bench_map ~jobs ~where
-    (fun (p : W.Profile.t) -> p.name)
-    (fun (p : W.Profile.t) ->
-      let specs = Array.of_list (List.map A.Bp_sweep.of_name configs) in
-      A.Bp_sweep.run (source scale p) specs
-      |> Array.to_list
-      |> List.concat_map (fun r ->
-             List.map
-               (fun cause -> f2 (A.Bp_sweep.mpki_by_cause r total cause))
-               A.Bp_sweep.causes))
-    profiles
+let fig6_rows =
+  { tag = row_tag "fig6" fig6_configs;
+    compute =
+      (fun ~jobs ~where scale profiles ->
+        bench_map ~jobs ~where
+          (fun (p : W.Profile.t) -> p.name)
+          (fun (p : W.Profile.t) ->
+            A.Bp_sweep.run (source scale p)
+              (Array.of_list (List.map A.Bp_sweep.of_name fig6_configs))
+            |> Array.to_list
+            |> List.concat_map (fun r ->
+                   List.map
+                     (fun cause -> f2 (A.Bp_sweep.mpki_by_cause r total cause))
+                     A.Bp_sweep.causes))
+          profiles) }
 
 let fig6 ~jobs scale =
-  let configs = fig6_configs in
   let t =
     Table.create
       ~title:
@@ -801,20 +753,13 @@ let fig6 ~jobs scale =
           (fun n ->
             [ (n ^ " nt", Table.Right); (n ^ " tb", Table.Right);
               (n ^ " tf", Table.Right) ])
-          configs)
+          fig6_configs)
   in
-  let ncells = List.length configs * List.length A.Bp_sweep.causes in
-  let rows =
-    rows_cached ~jobs ~tag:fig6_tag ~scale
-      (List.map W.Suites.find W.Suites.fig6_subset)
-      (fig6_rows ~jobs ~where:"fig6" scale)
-  in
-  List.iter2
-    (fun name row ->
-      match row with
-      | Ok cells -> Table.add_row t (name :: cells)
-      | Error () -> Table.add_row t (name :: List.init ncells (fun _ -> hole_cell)))
-    W.Suites.fig6_subset rows;
+  add_bench_rows t W.Suites.fig6_subset
+    (List.length fig6_configs * List.length A.Bp_sweep.causes)
+    Fun.id
+    (rows_cached ~jobs ~where:"fig6" scale fig6_rows
+       (List.map W.Suites.find W.Suites.fig6_subset));
   [ t ]
 
 (* ------------------------------------------------------------------ *)
@@ -825,16 +770,18 @@ let btb_configs =
     (fun entries -> List.map (fun assoc -> (entries, assoc)) [ 2; 4; 8 ])
     [ 256; 512; 1024 ]
 
-let fig7_tag =
-  row_tag "fig7"
-    (List.map (fun (e, a) -> Printf.sprintf "%d/%d" e a) btb_configs)
-
-let fig7_rows ~jobs ~where scale profiles =
+let fig7_rows =
   let configs = Array.of_list btb_configs in
-  sweep_map ~jobs ~where profiles (Array.length configs) (fun p lo hi ->
-      Array.map
-        (fun r -> A.Btb_sweep.mpki r total)
-        (A.Btb_sweep.run (source scale p) (Array.sub configs lo (hi - lo))))
+  { tag =
+      row_tag "fig7"
+        (List.map (fun (e, a) -> Printf.sprintf "%d/%d" e a) btb_configs);
+    compute =
+      (fun ~jobs ~where scale profiles ->
+        sweep_map ~jobs ~where profiles (Array.length configs) (fun p lo hi ->
+            Array.map
+              (fun r -> A.Btb_sweep.mpki r total)
+              (A.Btb_sweep.run (source scale p)
+                 (Array.sub configs lo (hi - lo))))) }
 
 let fig7 ~jobs scale =
   let t =
@@ -846,11 +793,9 @@ let fig7 ~jobs scale =
   in
   List.iter
     (fun suite ->
-      let profiles = W.Suites.by_suite suite in
-      let where = "fig7/" ^ Suite.to_string suite in
       let per_bench =
-        rows_cached ~jobs ~tag:fig7_tag ~scale profiles
-          (fig7_rows ~jobs ~where scale)
+        rows_cached ~jobs ~where:("fig7/" ^ Suite.to_string suite) scale
+          fig7_rows (W.Suites.by_suite suite)
       in
       Table.add_row t
         (Suite.to_string suite
@@ -867,18 +812,24 @@ let icache_cfg_sig (c : A.Icache_sweep.config) =
   Printf.sprintf "%d/%d/%d/%s" c.size_bytes c.line_bytes c.assoc
     (F.Replacement.spec_to_string c.policy)
 
-let icache_rows ~jobs ~where ~configs scale profiles =
+let icache_rows base configs =
   let carr = Array.of_list configs in
-  sweep_map ~jobs ~where profiles (Array.length carr) (fun p lo hi ->
-      Array.map
-        (fun r -> A.Icache_sweep.mpki r total)
-        (A.Icache_sweep.run (source scale p) (Array.sub carr lo (hi - lo))))
+  { tag = row_tag base (List.map icache_cfg_sig configs);
+    compute =
+      (fun ~jobs ~where scale profiles ->
+        sweep_map ~jobs ~where profiles (Array.length carr) (fun p lo hi ->
+            Array.map
+              (fun r -> A.Icache_sweep.mpki r total)
+              (A.Icache_sweep.run (source scale p)
+                 (Array.sub carr lo (hi - lo))))) }
 
-let icache_table ~jobs ~tag ~where:where_root ~title ~configs ~benchmarks scale
-    per_suite =
+(* One row per suite (suite means), or one per benchmark of
+   [benchmarks] when given. *)
+let icache_table ~jobs ~rows ~where:where_root ~title ~configs ?benchmarks
+    scale =
   let t =
     Table.create ~title
-      ([ ((if per_suite then "suite" else "benchmark"), Table.Left) ]
+      ([ ((if benchmarks = None then "suite" else "benchmark"), Table.Left) ]
       @ List.map
           (fun (c : A.Icache_sweep.config) ->
             let geom =
@@ -891,30 +842,23 @@ let icache_table ~jobs ~tag ~where:where_root ~title ~configs ~benchmarks scale
               Table.Right ))
           configs)
   in
-  let mpki_rows ~where profiles =
-    rows_cached ~jobs ~tag ~scale profiles
-      (icache_rows ~jobs ~where ~configs scale)
-  in
-  if per_suite then
-    List.iter
-      (fun suite ->
-        let where = where_root ^ "/" ^ Suite.to_string suite in
-        let per_bench = mpki_rows ~where (W.Suites.by_suite suite) in
-        Table.add_row t
-          (Suite.to_string suite :: mean_cells per_bench (List.length configs)))
-      Suite.all
-  else begin
-    let rows = mpki_rows ~where:where_root (List.map W.Suites.find benchmarks) in
-    List.iter2
-      (fun name row ->
-        match row with
-        | Ok arr ->
-            Table.add_row t (name :: Array.to_list (Array.map f2 arr))
-        | Error () ->
-            Table.add_row t
-              (name :: List.map (fun _ -> hole_cell) configs))
-      benchmarks rows
-  end;
+  (match benchmarks with
+  | None ->
+      List.iter
+        (fun suite ->
+          let where = where_root ^ "/" ^ Suite.to_string suite in
+          let per_bench =
+            rows_cached ~jobs ~where scale rows (W.Suites.by_suite suite)
+          in
+          Table.add_row t
+            (Suite.to_string suite
+            :: mean_cells per_bench (List.length configs)))
+        Suite.all
+  | Some names ->
+      add_bench_rows t names (List.length configs)
+        (fun arr -> Array.to_list (Array.map f2 arr))
+        (rows_cached ~jobs ~where:where_root scale rows
+           (List.map W.Suites.find names)));
   t
 
 let fig8_points =
@@ -923,18 +867,18 @@ let fig8_points =
     [ 8192; 16384; 32768 ]
 
 let fig8_cfgs = List.map A.Icache_sweep.cfg fig8_points
-let fig8_tag = row_tag "fig8" (List.map icache_cfg_sig fig8_cfgs)
+let fig8_rows = icache_rows "fig8" fig8_cfgs
 
 let fig8p_cfgs =
   List.map (A.Icache_sweep.cfg ~policy:F.Replacement.Preuse) fig8_points
 
-let fig8p_tag = row_tag "fig8p" (List.map icache_cfg_sig fig8p_cfgs)
+let fig8p_rows = icache_rows "fig8p" fig8p_cfgs
 
 let fig8ph_cfgs =
   [ A.Icache_sweep.cfg (32768, 64, 4);
     A.Icache_sweep.cfg ~policy:F.Replacement.Preuse (16384, 64, 4) ]
 
-let fig8ph_tag = row_tag "fig8ph" (List.map icache_cfg_sig fig8ph_cfgs)
+let fig8ph_rows = icache_rows "fig8ph" fig8ph_cfgs
 
 let fig9_cfgs =
   List.map A.Icache_sweep.cfg
@@ -942,39 +886,39 @@ let fig9_cfgs =
        (fun line -> List.map (fun a -> (16384, line, a)) [ 2; 4; 8 ])
        [ 32; 64; 128 ])
 
-let fig9_tag = row_tag "fig9" (List.map icache_cfg_sig fig9_cfgs)
+let fig9_rows = icache_rows "fig9" fig9_cfgs
 
 (* Fig 9's companion metric: 128B-line usefulness on one fixed
    geometry. *)
-let fig9u_tag = row_tag "fig9u" [ "16384/128/8" ]
-
-let fig9u_rows ~jobs ~where scale profiles =
-  bench_map ~jobs ~where
-    (fun (p : W.Profile.t) -> p.name)
-    (fun (p : W.Profile.t) ->
-      let r =
-        A.Icache_sweep.run (source scale p)
-          [| A.Icache_sweep.cfg (16384, 128, 8) |]
-      in
-      A.Icache_sweep.usefulness r.(0))
-    profiles
+let fig9u_rows =
+  { tag = row_tag "fig9u" [ "16384/128/8" ];
+    compute =
+      (fun ~jobs ~where scale profiles ->
+        bench_map ~jobs ~where
+          (fun (p : W.Profile.t) -> p.name)
+          (fun (p : W.Profile.t) ->
+            let r =
+              A.Icache_sweep.run (source scale p)
+                [| A.Icache_sweep.cfg (16384, 128, 8) |]
+            in
+            A.Icache_sweep.usefulness r.(0))
+          profiles) }
 
 let fig8 ~jobs scale =
-  [ icache_table ~jobs ~tag:fig8_tag ~where:"fig8"
-      ~title:"Fig 8: I-cache MPKI (64B lines)" ~configs:fig8_cfgs
-      ~benchmarks:[] scale true ]
+  [ icache_table ~jobs ~rows:fig8_rows ~where:"fig8"
+      ~title:"Fig 8: I-cache MPKI (64B lines)" ~configs:fig8_cfgs scale ]
 
 (* Fig 8p: the fig8 size/associativity sweep re-run under the
    perceptron reuse/bypass policy, plus a headline mixed-policy sweep
    answering the ROADMAP question directly — does a 16KB learned
    I-cache beat the 32KB LRU baseline? *)
 let fig8p ~jobs scale =
-  [ icache_table ~jobs ~tag:fig8p_tag ~where:"fig8p"
+  [ icache_table ~jobs ~rows:fig8p_rows ~where:"fig8p"
       ~title:"Fig 8p: I-cache MPKI, perceptron reuse/bypass (64B lines)"
-      ~configs:fig8p_cfgs ~benchmarks:[] scale true;
-    icache_table ~jobs ~tag:fig8ph_tag ~where:"fig8p-headline"
+      ~configs:fig8p_cfgs scale;
+    icache_table ~jobs ~rows:fig8ph_rows ~where:"fig8p-headline"
       ~title:"Fig 8p (headline): 16KB preuse vs 32KB LRU (64B, 4-way)"
-      ~configs:fig8ph_cfgs ~benchmarks:[] scale true ]
+      ~configs:fig8ph_cfgs scale ]
 
 type learned = {
   lru_mpki : float;
@@ -988,43 +932,38 @@ let learned ?jobs ~scale () =
   let jobs =
     match jobs with Some j -> j | None -> Engine.default_jobs ()
   in
-  let rows ~tag ~configs =
+  let all_rows rows =
     let per_bench =
-      rows_cached ~jobs ~tag ~scale W.Suites.all
-        (icache_rows ~jobs ~where:"learned" ~configs scale)
+      rows_cached ~jobs ~where:"learned" scale rows W.Suites.all
     in
     let oks = List.filter_map Result.to_option per_bench in
     if List.length oks = List.length per_bench then Some oks else None
   in
-  match
-    ( rows ~tag:fig8ph_tag ~configs:fig8ph_cfgs,
-      rows ~tag:fig8p_tag ~configs:fig8p_cfgs )
-  with
+  match (all_rows fig8ph_rows, all_rows fig8p_rows) with
   | Some headline, Some sweep ->
       let n = float_of_int (List.length W.Suites.all) in
       let mean i rows =
         List.fold_left (fun acc r -> acc +. r.(i)) 0.0 rows /. n
       in
       let lru_mpki = mean 0 headline in
-      let preuse_4way size =
-        mean
-          (Option.get (List.find_index (( = ) (size, 64, 4)) fig8_points))
-          sweep
-      in
       Some
         { lru_mpki;
           preuse_mpki = mean 1 headline;
+          (* fig8_points is size-major and ascending, so the first
+             4-way point that matches is the smallest size. *)
           crossover_size =
-            List.find_opt
-              (fun s -> preuse_4way s <= lru_mpki)
-              [ 8192; 16384; 32768 ] }
+            List.find_mapi
+              (fun i (size, _, assoc) ->
+                if assoc = 4 && mean i sweep <= lru_mpki then Some size
+                else None)
+              fig8_points }
   | _ -> None
 
 let fig9 ~jobs scale =
   let mpki_tbl =
-    icache_table ~jobs ~tag:fig9_tag ~where:"fig9"
+    icache_table ~jobs ~rows:fig9_rows ~where:"fig9"
       ~title:"Fig 9: I-cache MPKI across line widths (16KB)"
-      ~configs:fig9_cfgs ~benchmarks:W.Suites.fig9_subset scale false
+      ~configs:fig9_cfgs ~benchmarks:W.Suites.fig9_subset scale
   in
   (* Line usefulness, paper Section IV-C *)
   let useful =
@@ -1034,21 +973,18 @@ let fig9 ~jobs scale =
   in
   List.iter
     (fun suite ->
-      let where = "fig9-usefulness/" ^ Suite.to_string suite in
       let per_bench =
-        rows_cached ~jobs ~tag:fig9u_tag ~scale (W.Suites.by_suite suite)
-          (fig9u_rows ~jobs ~where scale)
+        rows_cached ~jobs
+          ~where:("fig9-usefulness/" ^ Suite.to_string suite)
+          scale fig9u_rows (W.Suites.by_suite suite)
       in
       let measured =
-        let oks = List.filter_map Result.to_option per_bench in
-        if List.length oks <> List.length per_bench then hole_cell
-        else
-          Table.fmt_pct
-            (Repro_util.Stats.mean
-               (List.filter (fun v -> not (Float.is_nan v)) oks))
+        mean_cells ~fmt:Table.fmt_pct
+          (List.map (Result.map (fun v -> [| v |])) per_bench)
+          1
       in
       Table.add_row useful
-        [ Suite.to_string suite; measured;
+        [ Suite.to_string suite; List.hd measured;
           (if Suite.is_hpc suite then
              Table.fmt_pct Paper_data.fig9_line_usefulness_hpc
            else Table.fmt_pct Paper_data.fig9_line_usefulness_int) ])
@@ -1058,7 +994,7 @@ let fig9 ~jobs scale =
 (* ------------------------------------------------------------------ *)
 (* Table II *)
 
-let tab2 () =
+let tab2 ~jobs:_ _ =
   let t =
     Table.create
       ~title:"Table II: predictor size parameters and hardware budgets"
@@ -1107,7 +1043,7 @@ let tab3_model () =
                 point U.Frontend_config.tailored);
       Option.get !tab3_points)
 
-let tab3 () =
+let tab3 ~jobs:_ _ =
   let t =
     Table.create
       ~title:"Table III: front-end structures on the core budget (40nm)"
@@ -1206,10 +1142,10 @@ let cmp_suite_tables ~fig ((_, configs) as family) scale =
       t)
     metrics
 
-let fig10 scale = cmp_suite_tables ~fig:"10" cmp_standard scale
-let fig10p scale = cmp_suite_tables ~fig:"10p" cmp_learned scale
+let fig10 ~jobs:_ = cmp_suite_tables ~fig:"10" cmp_standard
+let fig10p ~jobs:_ = cmp_suite_tables ~fig:"10p" cmp_learned
 
-let fig11 scale =
+let fig11 ~jobs:_ scale =
   let t =
     Table.create
       ~title:"Fig 11: normalized execution time, per benchmark"
@@ -1246,107 +1182,145 @@ let fig11 scale =
   [ t ]
 
 (* ------------------------------------------------------------------ *)
+(* The figure table.
+
+   Every figure is declared once, in [figure]: its key, description,
+   renderer and [needs], the artifact families it reads (each over the
+   benchmarks it reads it for). The task decomposition, the prefetch
+   and the dispatch worker's task runner all derive from [needs], so
+   adding a figure means adding one arm to [figure] and its
+   constructor to [id] and [all]. *)
+
+type need =
+  | Charz of W.Profile.t list
+  | Cmp of (string * U.Cmp.config list) * W.Profile.t list
+  | Rows : 'a row_family * W.Profile.t list -> need
+
+type figure = {
+  name : string;
+  describe : string;
+  needs : need list;
+  render : jobs:int -> float -> Table.t list;
+}
+
+let figure id =
+  let fig name needs render describe = { name; describe; needs; render } in
+  let charz = [ Charz W.Suites.all ] in
+  let rows family = Rows (family, W.Suites.all) in
+  let subset = List.map W.Suites.find in
+  match id with
+  | Fig1 -> fig "fig1" charz fig1
+      "Dynamic branch instruction breakdown per suite (% of instructions)"
+  | Fig2 -> fig "fig2" charz fig2
+      "Distribution of conditional-branch directions (bias deciles)"
+  | Tab1 -> fig "tab1" charz tab1
+      "Backward vs forward taken conditional branches"
+  | Fig3 -> fig "fig3" charz fig3
+      "Static instruction footprint and 99%-dynamic footprint"
+  | Fig4 -> fig "fig4" charz fig4
+      "Average basic-block length and distance between taken branches"
+  | Fig5 -> fig "fig5" [ rows fig5_rows ] fig5
+      "Branch MPKI for eleven predictor configurations"
+  | Fig6 -> fig "fig6" [ Rows (fig6_rows, subset W.Suites.fig6_subset) ] fig6
+      "Branch MPKI breakdown by mispredicted outcome (gshare)"
+  | Fig7 -> fig "fig7" [ rows fig7_rows ] fig7
+      "BTB MPKI across entry counts and associativities"
+  | Fig8 -> fig "fig8" [ rows fig8_rows ] fig8
+      "I-cache MPKI across sizes and associativities (64B lines)"
+  | Fig8p -> fig "fig8p" [ rows fig8p_rows; rows fig8ph_rows ] fig8p
+      "I-cache MPKI under perceptron reuse/bypass replacement (64B lines)"
+  | Fig9 ->
+      fig "fig9"
+        [ Rows (fig9_rows, subset W.Suites.fig9_subset); rows fig9u_rows ]
+        fig9 "I-cache MPKI across line widths (16KB)"
+  | Tab2 -> fig "tab2" [] tab2
+      "Branch-predictor size parameters and hardware budgets"
+  | Tab3 -> fig "tab3" [] tab3
+      "Front-end structure shares of core area and power"
+  | Fig10 -> fig "fig10" [ Cmp (cmp_standard, W.Suites.all) ] fig10
+      "CMP execution time, power, energy and ED per suite"
+  | Fig10p -> fig "fig10p" [ Cmp (cmp_learned, W.Suites.all) ] fig10p
+      "CMP comparison with learned I-cache replacement in the tailored core"
+  | Fig11 ->
+      fig "fig11" [ Cmp (cmp_standard, subset W.Suites.fig11_subset) ] fig11
+        "Per-benchmark normalized CMP execution time"
+
+let to_string id = (figure id).name
+let describe id = (figure id).describe
+
+let of_string s =
+  List.find_opt (fun id -> String.equal (to_string id) s) all
+
+(* ------------------------------------------------------------------ *)
 (* Task decomposition for the dispatch layer.
 
    A {!task} is the multi-process unit of work: one memoized artifact
-   for one benchmark — a characterization ("charz"), a CMP evaluation
-   family ("cmp"/"cmpl"), or one figure row ("row.<tag>"). Running a
-   task stores its artifact in the shared persistent {!Cache}; it
-   returns nothing, because the coordinator never consumes task
-   values over the wire — it re-renders from the cache, which is what
-   makes an N-worker run byte-identical to [-j1] regardless of which
-   worker computed what, in what order, or how many times. *)
+   for one benchmark, i.e. one benchmark of one [need]. Running a task
+   stores its artifact in the shared persistent {!Cache}; it returns
+   nothing, because the coordinator never consumes task values over
+   the wire — it re-renders from the cache, which is what makes an
+   N-worker run byte-identical to [-j1] regardless of which worker
+   computed what, in what order, or how many times. *)
 
 type task = { t_kind : string; t_bench : string }
 
 let task_id t = t.t_kind ^ "|" ^ t.t_bench
 
-let row_runners : (string * (jobs:int -> float -> W.Profile.t list -> unit)) list
-    =
-  let runner tag rows ~jobs scale ps =
-    ignore
-      (rows_cached ~jobs ~tag ~scale ps
-         (rows ~jobs ~where:("task/" ^ tag) scale))
-  in
-  [ (fig5_tag, runner fig5_tag fig5_rows);
-    (fig6_tag, runner fig6_tag fig6_rows);
-    (fig7_tag, runner fig7_tag fig7_rows);
-    (fig9u_tag, runner fig9u_tag fig9u_rows) ]
-  @ List.map
-      (fun (tag, configs) -> (tag, runner tag (icache_rows ~configs)))
-      [ (fig8_tag, fig8_cfgs); (fig8p_tag, fig8p_cfgs);
-        (fig8ph_tag, fig8ph_cfgs); (fig9_tag, fig9_cfgs) ]
+let need_kind = function
+  | Charz _ -> "charz"
+  | Cmp ((kind, _), _) -> kind
+  | Rows (rows, _) -> "row." ^ rows.tag
 
 let tasks_for id =
-  let t kind (p : W.Profile.t) = { t_kind = kind; t_bench = p.name } in
-  let rows tag ps = List.map (t ("row." ^ tag)) ps in
-  match id with
-  | Fig1 | Fig2 | Tab1 | Fig3 | Fig4 -> List.map (t "charz") W.Suites.all
-  | Fig10 -> List.map (t "cmp") W.Suites.all
-  | Fig10p -> List.map (t "cmpl") W.Suites.all
-  | Fig11 -> List.map (t "cmp") (List.map W.Suites.find W.Suites.fig11_subset)
-  | Fig5 -> rows fig5_tag W.Suites.all
-  | Fig6 -> rows fig6_tag (List.map W.Suites.find W.Suites.fig6_subset)
-  | Fig7 -> rows fig7_tag W.Suites.all
-  | Fig8 -> rows fig8_tag W.Suites.all
-  | Fig8p -> rows fig8p_tag W.Suites.all @ rows fig8ph_tag W.Suites.all
-  | Fig9 ->
-      rows fig9_tag (List.map W.Suites.find W.Suites.fig9_subset)
-      @ rows fig9u_tag W.Suites.all
-  | Tab2 | Tab3 -> []
+  List.concat_map
+    (fun need ->
+      let t_kind = need_kind need in
+      let profiles =
+        match need with Charz ps | Cmp (_, ps) | Rows (_, ps) -> ps
+      in
+      List.map (fun (p : W.Profile.t) -> { t_kind; t_bench = p.name }) profiles)
+    (figure id).needs
 
 let run_task ~scale { t_kind; t_bench } =
   match
-    List.find_opt
-      (fun (p : W.Profile.t) -> String.equal p.name t_bench)
-      W.Suites.all
+    ( List.find_opt
+        (fun need -> String.equal (need_kind need) t_kind)
+        (List.concat_map (fun id -> (figure id).needs) all),
+      List.find_opt
+        (fun (p : W.Profile.t) -> String.equal p.name t_bench)
+        W.Suites.all )
   with
-  | None -> false
-  | Some p -> (
-      let jobs = Engine.default_jobs () in
-      match t_kind with
-      | "charz" ->
-          ignore (characterize scale p);
-          true
-      | "cmp" ->
-          ignore (evaluate_cmps cmp_standard scale p);
-          true
-      | "cmpl" ->
-          ignore (evaluate_cmps cmp_learned scale p);
-          true
-      | k when String.length k > 4 && String.equal (String.sub k 0 4) "row." -> (
-          let tag = String.sub k 4 (String.length k - 4) in
-          match List.assoc_opt tag row_runners with
-          | Some runner ->
-              runner ~jobs scale [ p ];
-              true
-          | None -> false)
-      | _ -> false)
+  | Some need, Some p ->
+      (match need with
+      | Charz _ -> ignore (characterize scale p)
+      | Cmp (family, _) -> ignore (evaluate_cmps family scale p)
+      | Rows (rows, _) ->
+          ignore
+            (rows_cached ~jobs:(Engine.default_jobs ())
+               ~where:("task/" ^ rows.tag) scale rows [ p ]));
+      true
+  | _ -> false
 
-(* Parallel prefetch of the characterizations and CMP evaluations an
-   experiment reads, so the table code afterwards only takes memo hits
+(* Parallel prefetch of the characterizations and CMP evaluations a
+   figure reads, so the table code afterwards only takes memo hits
    and its row order never depends on worker scheduling. A benchmark
    whose prefetch died (e.g. on the [engine.task] fault site) is
    recomputed when the table code reads it; only a failure there is
-   a real loss. The sweep figures need no prefetch: [rows_cached]
-   reads each row once and warms captures only for the misses. *)
-let prefetch ~jobs scale id =
-  let charz =
-    warm ~jobs characterizations
-      (fun (p : W.Profile.t) -> (p.name, scale))
-      (characterize scale)
-  in
-  let cmps ((kind, _) as family) =
-    warm ~jobs cmp_evals
-      (fun (p : W.Profile.t) -> (kind, p.name, scale))
-      (evaluate_cmps family scale)
-  in
-  match id with
-  | Fig1 | Fig2 | Tab1 | Fig3 | Fig4 -> charz W.Suites.all
-  | Fig10 -> cmps cmp_standard W.Suites.all
-  | Fig10p -> cmps cmp_learned W.Suites.all
-  | Fig11 -> cmps cmp_standard (List.map W.Suites.find W.Suites.fig11_subset)
-  | Fig5 | Fig6 | Fig7 | Fig8 | Fig8p | Fig9 | Tab2 | Tab3 -> ()
+   a real loss. Rows need no prefetch: [rows_cached] reads each row
+   once and warms captures only for the misses. *)
+let prefetch ~jobs scale needs =
+  List.iter
+    (function
+      | Charz ps ->
+          warm ~jobs characterizations
+            (fun (p : W.Profile.t) -> (p.name, scale))
+            (characterize scale) ps
+      | Cmp (((kind, _) as family), ps) ->
+          warm ~jobs cmp_evals
+            (fun (p : W.Profile.t) -> (kind, p.name, scale))
+            (evaluate_cmps family scale) ps
+      | Rows _ -> ())
+    needs
 
 (* Appendix rendered after a degraded run: one row per lost
    measurement, so a "!" in a table above is traceable to the
@@ -1366,27 +1340,12 @@ let run ?(scale = 1.0) ?jobs id =
   let jobs =
     match jobs with Some j -> j | None -> Engine.default_jobs ()
   in
+  let f = figure id in
   clear_holes ();
   let tables =
-    Repro_util.Telemetry.with_span ("experiment." ^ to_string id) (fun () ->
-    prefetch ~jobs scale id;
-    match id with
-    | Fig1 -> fig1 scale
-    | Fig2 -> fig2 scale
-    | Tab1 -> tab1 scale
-    | Fig3 -> fig3 scale
-    | Fig4 -> fig4 scale
-    | Fig5 -> fig5 ~jobs scale
-    | Fig6 -> fig6 ~jobs scale
-    | Fig7 -> fig7 ~jobs scale
-    | Fig8 -> fig8 ~jobs scale
-    | Fig8p -> fig8p ~jobs scale
-    | Fig9 -> fig9 ~jobs scale
-    | Tab2 -> tab2 ()
-    | Tab3 -> tab3 ()
-    | Fig10 -> fig10 scale
-    | Fig10p -> fig10p scale
-    | Fig11 -> fig11 scale)
+    Repro_util.Telemetry.with_span ("experiment." ^ f.name) (fun () ->
+        prefetch ~jobs scale f.needs;
+        f.render ~jobs scale)
   in
   match holes () with
   | [] -> tables

@@ -1,17 +1,22 @@
-(** The experiment registry: one entry per table and figure of the
-    paper's evaluation, each runnable on the synthetic benchmark
-    suites and rendered as a plain-text table next to the paper's
-    reference values.
+(** The figure table: one entry per table and figure of the paper's
+    evaluation, each runnable on the synthetic benchmark suites and
+    rendered as a plain-text table next to the paper's reference
+    values.
+
+    Each figure is declared once, with its key, description, renderer
+    and the artifacts it reads (characterizations for figs 1-4, rows
+    for figs 5-9, CMP evaluations for figs 10-11); {!to_string},
+    {!describe}, {!tasks_for}, {!run_task} and {!run} derive from it.
 
     Traces are expensive, so characterizations and CMP measurements
     are memoized per [(benchmark, scale)] within the process and
     persisted across processes by {!Cache}, and every measurement
     replays the one packed capture of the benchmark: a harness that
     runs every experiment generates each benchmark's trace once per
-    process, and only while some artifact it reads is missing. Per-benchmark trace runs are sharded across
-    cores by {!Engine}; each benchmark's generator is reseeded from
-    its profile, so parallel results are bit-identical to sequential
-    ones. *)
+    process, and only while some artifact it reads is missing.
+    Per-benchmark trace runs are sharded across cores by {!Engine};
+    each benchmark's generator is reseeded from its profile, so
+    parallel results are bit-identical to sequential ones. *)
 
 type id =
   | Fig1  (** dynamic branch-instruction breakdown *)
@@ -112,6 +117,8 @@ val clear_cache : ?disk:bool -> unit -> unit
     processes: one persistent-cache artifact for one benchmark — a
     characterization, a CMP evaluation family, or one figure row (the
     full per-benchmark vector across a figure's configuration axis).
+    An experiment's tasks are one per benchmark of each artifact
+    family its figure declares, in declaration order.
     Running a task stores its artifact in the shared {!Cache} and
     returns nothing over the wire; the coordinator re-renders from
     the cache, which is what makes an N-worker run byte-identical to
@@ -119,9 +126,10 @@ val clear_cache : ?disk:bool -> unit -> unit
     order. *)
 
 type task = { t_kind : string; t_bench : string }
-(** [t_kind] is ["charz"], ["cmp"], ["cmpl"], or ["row.<tag>"] where
-    [<tag>] carries a digest of the figure's configuration axis;
-    [t_bench] is a benchmark profile name. *)
+(** [t_kind] names an artifact family: ["charz"], a CMP family's
+    cache kind (["cmp"], ["cmpl"]), or ["row.<tag>"] where [<tag>]
+    carries a digest of the figure's configuration axis; [t_bench] is
+    a benchmark profile name. *)
 
 val task_id : task -> string
 (** Stable string form, ["<kind>|<bench>"] — used as journal step and
@@ -133,7 +141,9 @@ val tasks_for : id -> task list
     tables ([Tab2], [Tab3]). *)
 
 val run_task : scale:float -> task -> bool
-(** Execute one task, storing its artifact in the {!Cache}.
+(** Execute one task, storing its artifact in the {!Cache}. The kind
+    is looked up among the artifact families of every figure, and
+    any benchmark of the suites is accepted for it.
     Returns [false] for an unknown kind/tag or benchmark (a
     version-skewed coordinator), [true] otherwise — including tasks
     whose measurement degraded to a hole, which simply store nothing

@@ -1,11 +1,8 @@
-let run_to_string ?scale ?jobs id =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf
-    (Printf.sprintf "==== %s: %s ====\n" (Experiment.to_string id)
-       (Experiment.describe id));
-  (* With --workers/REPRO_WORKERS the task space is sharded across
-     worker processes first; the run below then renders from the
-     shared cache. A no-op at the default worker count of 0. *)
+(* Shard the task space across worker processes first (with
+   --workers/REPRO_WORKERS; a no-op at the default worker count of 0),
+   then run the experiment, which renders from the shared cache, and
+   append each of its tables to [buf]. *)
+let render_into buf ?scale ?jobs id =
   Dispatch.prefetch ?scale id;
   let tables = Experiment.run ?scale ?jobs id in
   (* Rendering is spanned separately so the trace tree distinguishes
@@ -15,7 +12,14 @@ let run_to_string ?scale ?jobs id =
         (fun table ->
           Buffer.add_string buf (Repro_util.Table.render table);
           Buffer.add_char buf '\n')
-        tables);
+        tables)
+
+let run_to_string ?scale ?jobs id =
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf
+    (Printf.sprintf "==== %s: %s ====\n" (Experiment.to_string id)
+       (Experiment.describe id));
+  render_into buf ?scale ?jobs id;
   Buffer.contents buf
 
 let run_all_to_string ?scale ?jobs () =
@@ -37,12 +41,7 @@ let experiments_markdown ?scale ?jobs () =
         (Printf.sprintf "## %s — %s\n\n```\n"
            (String.capitalize_ascii (Experiment.to_string id))
            (Experiment.describe id));
-      Dispatch.prefetch ?scale id;
-      List.iter
-        (fun table ->
-          Buffer.add_string buf (Repro_util.Table.render table);
-          Buffer.add_char buf '\n')
-        (Experiment.run ?scale ?jobs id);
+      render_into buf ?scale ?jobs id;
       Buffer.add_string buf "```\n\n")
     Experiment.all;
   Buffer.contents buf

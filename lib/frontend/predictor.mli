@@ -1,6 +1,6 @@
 (** First-class branch predictors.
 
-    Concrete predictors ({!Bimodal}, {!Gshare}, {!Tournament}, {!Tage},
+    Concrete predictors ({!Gshare}, {!Tournament}, {!Tage},
     and the {!Hybrid} loop-predictor combination) pack themselves into
     this uniform record so simulation tools can sweep heterogeneous
     configurations. A predictor sees the conditional-branch stream:

@@ -1,4 +1,5 @@
-(** Indirect-branch target cache: a history-indexed target predictor
+(** Indirect-branch target cache, a model the tests exercise and no
+    figure sweeps: a history-indexed target predictor
     (the two-level scheme of Chang, Hao & Patt, and the ancestor of
     ITTAGE). Where a BTB can only replay an indirect branch's *last*
     target, a target cache indexes by branch address XOR recent target

@@ -31,6 +31,32 @@ let test_experiment_describe_nonempty () =
         (String.length (C.Experiment.describe id) > 10))
     C.Experiment.all
 
+(* The dispatch task space is part of the journal fingerprint and the
+   wire protocol: pin every task id, in order, and each id's count. *)
+let test_task_decomposition () =
+  let ids =
+    List.concat_map
+      (fun id -> List.map C.Experiment.task_id (C.Experiment.tasks_for id))
+      C.Experiment.all
+  in
+  Alcotest.(check int) "task count" 553 (List.length ids);
+  Alcotest.(check string) "task ids digest" "5b9dd8c5db4fbcc747613b6049512ae2"
+    (Digest.to_hex (Digest.string (String.concat "\n" ids)));
+  List.iter
+    (fun id ->
+      let expect =
+        match id with
+        | C.Experiment.Fig6 -> 9
+        | Fig8p -> 82
+        | Fig9 -> 46
+        | Fig11 -> 6
+        | Tab2 | Tab3 -> 0
+        | _ -> 41
+      in
+      Alcotest.(check int) (C.Experiment.to_string id) expect
+        (List.length (C.Experiment.tasks_for id)))
+    C.Experiment.all
+
 let test_tab2_tab3_run () =
   (* The pure-model experiments run instantly and must produce rows. *)
   List.iter
@@ -477,6 +503,7 @@ let () =
        [ Alcotest.test_case "roundtrip" `Quick test_experiment_roundtrip;
          Alcotest.test_case "count" `Quick test_experiment_count;
          Alcotest.test_case "describe" `Quick test_experiment_describe_nonempty;
+         Alcotest.test_case "task decomposition" `Quick test_task_decomposition;
          Alcotest.test_case "tab2/tab3 run" `Quick test_tab2_tab3_run;
          Alcotest.test_case "report string" `Quick test_report_string ]);
       ("paper data",

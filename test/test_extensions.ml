@@ -138,30 +138,30 @@ let test_ras_exact_on_trace () =
 (* Target cache *)
 
 let test_target_cache_monomorphic () =
-  let tc = F.Target_cache.create () in
-  Alcotest.(check (option int)) "cold" None (F.Target_cache.predict tc ~pc:0x40);
+  let tc = Target_cache.create () in
+  Alcotest.(check (option int)) "cold" None (Target_cache.predict tc ~pc:0x40);
   (* The target history must settle to its fixed point before the
      index becomes stable; a handful of executions suffices. *)
   for _ = 1 to 8 do
-    F.Target_cache.update tc ~pc:0x40 ~target:0x900
+    Target_cache.update tc ~pc:0x40 ~target:0x900
   done;
   Alcotest.(check (option int)) "replays steady target" (Some 0x900)
-    (F.Target_cache.predict tc ~pc:0x40)
+    (Target_cache.predict tc ~pc:0x40)
 
 let test_target_cache_alternating_beats_btb () =
   (* An indirect branch alternating between two targets: a BTB always
      mispredicts after the switch; a target cache learns the pattern
      because the history separates the two contexts. *)
-  let tc = F.Target_cache.create () in
+  let tc = Target_cache.create () in
   let btb = F.Btb.create ~entries:64 ~assoc:4 in
   let tc_wrong = ref 0 and btb_wrong = ref 0 in
   let n = 2000 in
   for i = 1 to n do
     let target = if i mod 2 = 0 then 0x1000 else 0x2000 in
-    (match F.Target_cache.predict tc ~pc:0x80 with
+    (match Target_cache.predict tc ~pc:0x80 with
     | Some p when p = target -> ()
     | Some _ | None -> incr tc_wrong);
-    F.Target_cache.update tc ~pc:0x80 ~target;
+    Target_cache.update tc ~pc:0x80 ~target;
     (match F.Btb.lookup btb ~pc:0x80 with
     | Some p when p = target -> ()
     | Some _ | None -> incr btb_wrong);
@@ -173,8 +173,8 @@ let test_target_cache_alternating_beats_btb () =
     (!tc_wrong * 4 < !btb_wrong)
 
 let test_target_cache_storage () =
-  let tc = F.Target_cache.create ~entries:512 () in
-  Alcotest.(check int) "bits" (512 * 32) (F.Target_cache.storage_bits tc)
+  let tc = Target_cache.create ~entries:512 () in
+  Alcotest.(check int) "bits" (512 * 32) (Target_cache.storage_bits tc)
 
 (* ------------------------------------------------------------------ *)
 (* I-cache prefetch *)

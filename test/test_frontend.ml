@@ -103,8 +103,8 @@ let check_lt name bound err =
     true (err < bound)
 
 let test_bimodal_biased () =
-  let b = F.Bimodal.create ~index_bits:10 in
-  check_lt "bimodal always-taken" 0.01 (drive (F.Bimodal.pack b) always_taken)
+  let b = Bimodal.create ~index_bits:10 in
+  check_lt "bimodal always-taken" 0.01 (drive (Bimodal.pack b) always_taken)
 
 let test_gshare_patterns () =
   let g () = F.Gshare.pack ~name:"g" (F.Gshare.create ~history_bits:12) in

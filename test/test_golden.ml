@@ -43,16 +43,13 @@ let check_all_paths id () =
       Alcotest.(check string) "parallel, cold cache" expect (run ~jobs:4);
       let hits_before = (C.Engine.stats ()).cache_hits in
       Alcotest.(check string) "sequential, warm cache" expect (run ~jobs:1);
-      (* fig1/tab1 read characterizations from the disk cache; the
-         trace-sim sweeps persist their rendered rows (the dispatch
-         work units) and serve those back warm; only the tables with
-         neither characterization nor row artifacts must not pretend
-         to cache traffic. *)
+      (* A warm run reads exactly the artifacts [tasks_for] names (the
+         dispatch work units), each once, and every one is a hit:
+         none for the analytical tables. *)
       let served = (C.Engine.stats ()).cache_hits - hits_before in
-      match id with
-      | C.Experiment.Tab2 | C.Experiment.Tab3 ->
-          Alcotest.(check int) "no cache traffic" 0 served
-      | _ -> Alcotest.(check bool) "warm run served from disk" true (served > 0))
+      Alcotest.(check int) "warm run reads exactly tasks_for"
+        (List.length (C.Experiment.tasks_for id))
+        served)
 
 let () =
   Alcotest.run "golden"
