@@ -2,7 +2,7 @@
    (every id of Repro_core.Experiment, or the ones named on the command
    line), then the extension studies and the Bechamel
    microbenchmarks. `--json FILE` also writes the measurements as
-   schema-v11 JSON, `--check-json FILE` validates such a file, and
+   schema-v12 JSON, `--check-json FILE` validates such a file, and
    `--serve-bench` load-tests the characterization daemon instead.
    The flags and their usage text live in one table ([flags]); so do
    the JSON fields, their gates and their sources ([schema]).
@@ -85,32 +85,14 @@ let speedup_probe id =
    dispatch for its cache traffic and process round-trips. The two
    renderings must be byte-identical ([distributed.identical]).
 
-   With --remote R the probe also spawns R loopback-TCP workers, each
-   with a private cache: their artifacts must cross the wire through
-   the digest-verified install path. With --dist-kill a chaos domain
-   SIGKILLs one worker (a remote helper when present) as soon as it
+   With --dist-kill a chaos domain SIGKILLs one worker as soon as it
    has completed a task, proving the lease re-issue path mid-probe. *)
 
 let dist_workers = ref 0 (* --workers: local pool size *)
-let dist_remote = ref 0 (* --remote: loopback-TCP worker count *)
 let dist_kill = ref false (* --dist-kill *)
 let dist_probed = ref 0 (* experiments the probe ran on *)
 let dist_identical = ref true (* every probe byte-identical so far *)
 let dist_killed = ref 0 (* chaos kills actually delivered *)
-
-(* Block until [want] more remote registrations than [base] have
-   completed the handshake, or a bounded wait expires: a worker that
-   never dials (connect faults) must not hang the bench; the sweep's
-   fallback covers the shortfall. *)
-let await_registrations ~base ~want =
-  let deadline = Unix.gettimeofday () +. 15.0 in
-  while
-    (D.stats ()).remote_workers - base < want
-    && Unix.gettimeofday () < deadline
-  do
-    D.poll_registrations ();
-    Unix.sleepf 0.005
-  done
 
 (* Kill the first victim once a task has completed; true when a kill
    landed. *)
@@ -135,21 +117,18 @@ let chaos_killer ~stop victims =
       watch ())
 
 let dist_probe id =
-  let n = !dist_workers and r = !dist_remote in
-  if (n <= 0 && r <= 0) || E.tasks_for id = [] then (None, None)
+  let n = !dist_workers in
+  if n <= 0 || E.tasks_for id = [] then (None, None)
   else begin
     let was_cache = C.Cache.enabled () and was_dir = C.Cache.dir () in
     let probe_dir = Printf.sprintf "_dist_probe_cache.%d" (Unix.getpid ()) in
-    let remote_dirs = List.init r (Printf.sprintf "%s_r%d" probe_dir) in
     Fun.protect
       ~finally:(fun () ->
         D.shutdown ();
         D.set_workers None;
-        D.set_listen None;
         C.Cache.set_dir was_dir;
         C.Cache.set_enabled was_cache;
-        let dirs = String.concat " " (probe_dir :: remote_dirs) in
-        ignore (Sys.command ("rm -rf " ^ dirs)))
+        ignore (Sys.command ("rm -rf " ^ probe_dir)))
       (fun () ->
         (* In-process reference: no workers, no disk cache, cold memo. *)
         D.set_workers (Some 0);
@@ -158,38 +137,16 @@ let dist_probe id =
         let t0 = T.now_ns () in
         let ref_text = render ~jobs:1 id in
         let j1_ms = ms_since t0 in
-        (* Distributed run: fresh pool over a fresh private cache;
-           remote workers get private caches of their own, so their
-           artifacts can only arrive over the wire. *)
+        (* Distributed run: fresh pool over a fresh private cache. *)
         C.Cache.set_dir probe_dir;
         C.Cache.set_enabled true;
         E.clear_cache ~disk:true ();
         D.set_workers (Some n);
-        if r > 0 then D.set_listen (Some "127.0.0.1:0");
         D.shutdown ();
         D.prewarm ();
-        let remote_pids =
-          if r = 0 then []
-          else begin
-            let base = (D.stats ()).remote_workers in
-            let pids =
-              List.filter_map
-                (fun dir -> D.spawn_remote_worker ~cache_dir:dir ())
-                remote_dirs
-            in
-            await_registrations ~base ~want:(List.length pids);
-            pids
-          end
-        in
         let stop = Atomic.make false in
-        (* Prefer a remote helper: the kill then exercises reconnect
-           and lease re-issue over TCP. *)
         let killer =
-          if not !dist_kill then None
-          else
-            Some
-              (chaos_killer ~stop (fun () ->
-                   if remote_pids <> [] then remote_pids else D.pids ()))
+          if !dist_kill then Some (chaos_killer ~stop D.pids) else None
         in
         let t0 = T.now_ns () in
         let dist_text = render ~jobs:1 id in
@@ -290,7 +247,7 @@ let extension_study () =
    required; null always means "did not run here", never "ran and
    measured zero". *)
 
-let schema_version = 11
+let schema_version = 12
 
 (* What `--check-json` knows besides the file: the --expect-* flags. *)
 type ctx = { doc : J.t; expects : string list }
@@ -400,36 +357,14 @@ let learned_fields =
       (fun l -> opt (Option.map float_of_int l.crossover_size))
       ~gates:[ one_of [ 8192.0; 16384.0; 32768.0 ] ] ]
 
-(* The remote sub-block (--remote): a probe where no worker ever
-   completed the handshake proved nothing. *)
-let remote_fields =
-  let open D in
-  [ field Count "workers" (fun _ -> int !dist_remote);
-    field Count "registrations"
-      (fun s -> int s.remote_workers)
-      ~gates:[ at_least 1.0 ];
-    field Count "handshake_rejects" (fun s -> int s.handshake_rejects);
-    field Count "payload_rejects" (fun s -> int s.payload_rejects);
-    field Count "hb_timeouts" (fun s -> int s.hb_timeouts);
-    field Count "reconnects" (fun s -> int s.reconnects);
-    field Count "wire_artifacts" (fun s -> int s.wire_artifacts) ]
-
-(* The distributed block (--workers/--remote): the byte-identity gate
-   over every probed experiment, and no acknowledgement counted
-   twice. Reissues, worker deaths and chaos kills are the fault
-   tolerance working and are only reported. *)
+(* The distributed block (--workers): the byte-identity gate over
+   every probed experiment, and no acknowledgement counted twice.
+   Reissues, expiries, worker deaths, fallbacks, spawn failures,
+   journal skips and chaos kills are the pool's decisions and are
+   only reported. *)
 let distributed_fields =
   let open D in
-  [ field Count "workers"
-      (fun _ -> int !dist_workers)
-      ~gates:
-        [ (fun _ d v ->
-            if num v >= 1.0 || num_at d [ "remote"; "workers" ] >= 1.0 then
-              None
-            else
-              Some
-                (Printf.sprintf "%g < 1 with no remote workers either" (num v)))
-        ];
+  [ field Count "workers" (fun _ -> int !dist_workers) ~gates:[ at_least 1.0 ];
     field Count "cores"
       (fun _ -> int (Domain.recommended_domain_count ()))
       ~gates:[ at_least 1.0 ];
@@ -437,14 +372,16 @@ let distributed_fields =
     field Count "tasks" (fun s -> int s.tasks);
     field Count "completed" (fun s -> int s.completed);
     field Count "reissued" (fun s -> int s.reissued);
+    field Count "expired" (fun s -> int s.expired);
     field Count "worker_deaths" (fun s -> int s.worker_deaths);
+    field Count "fallback" (fun s -> int s.fallback);
+    field Count "spawn_failures" (fun s -> int s.spawn_failures);
+    field Count "skipped_journal" (fun s -> int s.skipped_journal);
     field Count "dup_results"
       (fun s -> int s.dup_results)
       ~gates:[ at_most 0.0 ];
     field Count "killed" (fun _ -> int !dist_killed);
-    field Bool "identical" (fun _ -> J.Bool !dist_identical) ~gates:[ is_true ];
-    block ~nulls:(expected "--expect-remote") "remote" remote_fields (fun s ->
-        if !dist_remote > 0 then Some s else None) ]
+    field Bool "identical" (fun _ -> J.Bool !dist_identical) ~gates:[ is_true ] ]
 
 (* A probe's fields travel together — a raw time without its
    companion means the emitter half-recorded a probe — and no probe
@@ -463,19 +400,15 @@ let travels_with group : gate =
   else None
 
 (* Sharding a sweep over worker processes must not lose to the
-   in-process -j1 run it replaces. Fault injection, chaos kills and
-   the remote transport prove identity, not speed, so they are
-   exempt; on one core, where workers time-slice the CPU the -j1
-   reference had to itself, the floor degrades to an overhead bound. *)
+   in-process -j1 run it replaces. Fault injection and chaos kills
+   prove identity, not speed, so they are exempt; on one core, where
+   workers time-slice the CPU the -j1 reference had to itself, the
+   floor degrades to an overhead bound. *)
 let dist_floor : gate =
  fun ctx _ v ->
   let exempt =
     (match J.member "faults" ctx.doc with Some (J.Str _) -> true | _ -> false)
     || num_at ctx.doc [ "distributed"; "killed" ] > 0.0
-    ||
-    match member_at ctx.doc [ "distributed"; "remote" ] with
-    | Some (J.Obj _) -> true
-    | _ -> false
   in
   let single_core = num_at ctx.doc [ "distributed"; "cores" ] < 2.0 in
   let floor = if single_core then 0.75 else 1.0 in
@@ -708,13 +641,9 @@ let rec flags =
         (expect "--expect-serve");
       switch [ "--expect-dist" ] "with --check-json: require a --workers probe"
         (expect "--expect-dist");
-      switch [ "--expect-remote" ] "with --check-json: require a --remote probe"
-        (expect "--expect-remote");
       int_flag "--workers" ~lo:0 ~hi:64
         "probe each experiment sharded over N worker processes"
         (( := ) dist_workers);
-      int_flag "--remote" ~lo:0 ~hi:64 "add N loopback-TCP workers to the probe"
-        (( := ) dist_remote);
       switch [ "--dist-kill" ] "SIGKILL one worker mid-probe" (fun () ->
           dist_kill := true);
       switch [ "--serve-bench" ] "load-test an in-process daemon instead"
@@ -789,7 +718,7 @@ let journal_fingerprint ~measure ids =
   String.concat "|"
     ([ Printf.sprintf "schema%d" schema_version; C.Cache.version;
        Printf.sprintf "%h" scale; string_of_bool measure;
-       string_of_int !dist_workers; string_of_int !dist_remote;
+       string_of_int !dist_workers;
        string_of_bool !dist_kill;
        Option.value ~default:"" (Repro_util.Faults.spec ()) ]
     @ List.map E.to_string ids)

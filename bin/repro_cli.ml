@@ -87,26 +87,6 @@ let dispatch_workers_arg =
   in
   Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N" ~doc)
 
-let listen_dispatch_arg =
-  let doc =
-    "Listen on $(docv) (host:port; $(b,:7077) binds every interface, port \
-     $(b,0) lets the kernel pick) for remote $(b,worker --connect) \
-     registrations. Remote workers serve leases exactly like local ones; \
-     their artifacts ship back over the wire digest-verified, so rendered \
-     output stays byte-identical. Also \\$(b,REPRO_LISTEN). SIGTERM drains \
-     gracefully: in-flight leases finish, the journal keeps the rest."
-  in
-  Arg.(value & opt (some string) None & info [ "listen" ] ~docv:"ADDR" ~doc)
-
-let lease_batch_arg =
-  let doc =
-    "Hand each worker $(docv) tasks per lease round trip (clamped to \
-     1..64; also \\$(b,REPRO_LEASE_BATCH)). Amortizes coordinator wakeups \
-     and, for remote workers, network round trips; acknowledgements and \
-     re-issue on failure are per-task either way."
-  in
-  Arg.(value & opt (some int) None & info [ "lease-batch" ] ~docv:"K" ~doc)
-
 let apply_engine_flags trace jobs no_cache strict faults retry timeout =
   if trace then Repro_util.Telemetry.set_enabled true;
   if no_cache then Repro_core.Cache.set_enabled false;
@@ -136,22 +116,11 @@ let engine_flags_base =
 
 let engine_flags =
   Term.(
-    const (fun () workers listen batch ->
-        (match workers with
+    const (fun () workers ->
+        match workers with
         | Some n -> Repro_core.Dispatch.set_workers (Some n)
-        | None -> ());
-        (match batch with
-        | Some k -> Repro_core.Dispatch.set_lease_batch (Some k)
-        | None -> ());
-        match listen with
-        | Some addr ->
-            Repro_core.Dispatch.set_listen (Some addr);
-            (* The conventional graceful stop: finish in-flight
-               leases, keep the journal for the restart. *)
-            Repro_core.Dispatch.install_sigterm_drain ()
         | None -> ())
-    $ engine_flags_base $ dispatch_workers_arg $ listen_dispatch_arg
-    $ lease_batch_arg)
+    $ engine_flags_base $ dispatch_workers_arg)
 
 (* ------------------------------------------------------------------ *)
 
@@ -512,31 +481,14 @@ let export_cmd =
     Term.(const run $ scale_arg $ engine_flags $ dir_arg $ ids_arg)
 
 let worker_cmd =
-  let connect_arg =
-    let doc =
-      "Dial a coordinator at $(docv) (host:port, host defaults to \
-       loopback) and serve leases over TCP: register (protocol, cache \
-       and workload-catalogue versions must match — a typed rejection \
-       is fatal), compute tasks into a local cache, ship each task's \
-       artifacts back digest-verified. Reconnects with jittered \
-       exponential backoff on any channel failure. Without this flag, \
-       run the internal stdin/stdout protocol."
-    in
-    Arg.(value & opt (some string) None & info [ "connect" ] ~docv:"ADDR" ~doc)
-  in
-  let run () connect =
-    match connect with
-    | Some addr -> Repro_core.Dispatch.remote_worker_main addr
-    | None -> Repro_core.Dispatch.worker_main ()
-  in
+  let run () = Repro_core.Dispatch.worker_main () in
   Cmd.v
     (Cmd.info "worker"
        ~doc:
-         "Run a dispatch worker: $(b,--connect HOST:PORT) joins a remote \
-          coordinator over TCP; without it, the internal stdin/stdout \
-          protocol (spawned by an experiment/report coordinator running \
-          with --workers)")
-    Term.(const run $ engine_flags_base $ connect_arg)
+         "Run a dispatch worker over the internal stdin/stdout protocol \
+          (spawned by an experiment/report coordinator running with \
+          --workers)")
+    Term.(const run $ engine_flags_base)
 
 let () =
   (* A process spawned as a dispatch worker carries the env marker and

@@ -96,10 +96,8 @@ let is_marshal_failure msg =
   || String.starts_with ~prefix:"Marshal" msg
 
 (* Structural validity of an encoded entry — magic, header digest,
-   trailer, digest over the payload — without touching Marshal.
-   Shared between [decode] (which goes on to deserialize) and the
-   wire-install path (which must verify bytes it will never
-   deserialize itself). *)
+   trailer, digest over the payload — checked before [decode] hands
+   the payload to Marshal. *)
 let payload_of_encoded s =
   let mlen = String.length magic in
   let tlen = String.length trailer_magic + 32 in
@@ -117,8 +115,6 @@ let payload_of_encoded s =
     then None
     else Some payload
 
-let verify_encoded s = Option.is_some (payload_of_encoded s)
-
 let decode s =
   match payload_of_encoded s with
   | None -> None
@@ -131,26 +127,6 @@ let decode s =
              deserializer triggered — is a real error and must not
              masquerade as a miss. *)
           None)
-
-(* Entry-traffic recorder for the remote-dispatch wire path: while a
-   recording is active, the basename of every entry this process
-   stores or hits is collected, so a remote worker knows exactly
-   which artifacts a task produced (or re-used) and must ship back.
-   Single-domain use only — the worker process runs its task body on
-   one domain, which is the only place recordings happen. *)
-let recorder : string list ref option ref = ref None
-
-let record file =
-  match !recorder with
-  | None -> ()
-  | Some acc -> if not (List.mem file !acc) then acc := file :: !acc
-
-let with_recording f =
-  let acc = ref [] in
-  let saved = !recorder in
-  recorder := Some acc;
-  let v = Fun.protect ~finally:(fun () -> recorder := saved) f in
-  (v, List.rev !acc)
 
 (* Move a corrupt entry aside rather than deleting it or, worse,
    leaving it to be re-read: the quarantined file keeps the evidence
@@ -175,9 +151,7 @@ let find k =
                 if Faults.fires "cache.decode" then None else decode s
               in
               match decoded with
-              | Some v ->
-                  record k.file;
-                  Some v
+              | Some v -> Some v
               | None ->
                   quarantine k;
                   None)
@@ -232,8 +206,7 @@ let store k v =
               Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
                   output_string oc encoded);
               Telemetry.add "cache.write_bytes" (String.length encoded);
-              Sys.rename tmp (path k);
-              record k.file
+              Sys.rename tmp (path k)
             with e ->
               (try Sys.remove tmp with Sys_error _ -> ());
               raise e
@@ -254,75 +227,6 @@ let memoize k compute =
         let v = compute () in
         store k v;
         v
-
-(* A wire name is trusted only if it carries the finished-entry
-   suffix and contains no path separator, no ".." run, and no
-   control byte: a peer can then never name a temp file, a
-   quarantined file, or anything outside the cache directory. (Entry
-   basenames legitimately contain ':' — kinds like "row.fig5:<tag>"
-   embed it — so this is a denylist of the dangerous characters, not
-   the [sanitize] round-trip used when minting keys.) *)
-let wire_name_ok name =
-  let n = String.length name in
-  Filename.check_suffix name suffix
-  && n > String.length suffix
-  && (try
-        for i = 0 to n - 1 do
-          let c = name.[i] in
-          if c = '/' || c = '\\' || c < ' ' || c = '\x7f' then raise Exit;
-          if c = '.' && i + 1 < n && name.[i + 1] = '.' then raise Exit
-        done;
-        true
-      with Exit -> false)
-
-let read_raw name =
-  if not (wire_name_ok name) then None
-  else
-    match
-      In_channel.with_open_bin
-        (Filename.concat (dir ()) name)
-        In_channel.input_all
-    with
-    | s -> Some s
-    | exception Sys_error _ -> None
-
-let install_raw ~name bytes =
-  if not (wire_name_ok name) then begin
-    Telemetry.incr "cache.wire_rejects";
-    false
-  end
-  else if not (verify_encoded bytes) then begin
-    (* Corrupt or torn on the wire: keep the evidence under the same
-       [.bad] discipline as on-disk quarantine, never install. *)
-    (try
-       mkdir_p (dir ());
-       Out_channel.with_open_bin
-         (Filename.concat (dir ()) (name ^ bad_suffix))
-         (fun oc -> Out_channel.output_string oc bytes)
-     with Sys_error _ -> ());
-    Telemetry.incr "cache.quarantined";
-    Telemetry.incr "cache.wire_rejects";
-    false
-  end
-  else begin
-    match
-      mkdir_p (dir ());
-      let tmp, oc =
-        Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:(dir ())
-          "tmp-cache" tmp_suffix
-      in
-      (try
-         Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-             output_string oc bytes);
-         Sys.rename tmp (Filename.concat (dir ()) name)
-       with e ->
-         (try Sys.remove tmp with Sys_error _ -> ());
-         raise e);
-      Telemetry.add "cache.write_bytes" (String.length bytes)
-    with
-    | () -> true
-    | exception Sys_error _ -> false
-  end
 
 (* Only finished entries (".bin"): in-flight ".tmp" files are never
    listed, counted or cleared. *)

@@ -78,44 +78,6 @@ val memoize : key -> (unit -> 'a) -> 'a
     {!Engine.stats}. With the cache disabled the computation runs
     directly and no counter moves. *)
 
-(** {2 Wire path}
-
-    Remote dispatch workers cannot reach the coordinator's cache
-    directory, so artifacts cross the network as the {e raw encoded
-    bytes} of finished entries: the same header-digest + trailer
-    format written on disk doubles as the end-to-end integrity check
-    for the wire. The coordinator verifies before installing; a
-    payload that fails verification is kept as [.bad] evidence and
-    counted, never installed. *)
-
-val with_recording : (unit -> 'a) -> 'a * string list
-(** Run [f] while recording the basenames of every cache entry it
-    stores or hits, in first-touch order, deduplicated. Used by
-    remote workers to learn which artifacts a task produced (or
-    re-used) and must ship back. Recordings nest (the inner recording
-    wins for its extent) but are not thread-safe — the worker's task
-    body runs on a single domain. *)
-
-val read_raw : string -> string option
-(** Raw encoded bytes of the finished entry with this basename, or
-    [None] if the name fails wire-name validation (no separators, no
-    control bytes, must end in [.bin]) or the file is unreadable. *)
-
-val verify_encoded : string -> bool
-(** Structural validity of encoded entry bytes — magic, header
-    digest, trailer, digest-over-payload — without deserializing. *)
-
-val install_raw : name:string -> string -> bool
-(** [install_raw ~name bytes] verifies [bytes] with {!verify_encoded}
-    and installs them atomically (temp file + rename) as the finished
-    entry [name] in the cache directory. Returns [false] — and, for a
-    verification failure, writes the bytes aside as [name.bad] and
-    counts them in {!quarantined} and the [cache.wire_rejects]
-    telemetry counter — when the name fails validation, the bytes
-    fail verification, or the install I/O fails. Never raises on bad
-    input: the caller (the dispatch coordinator) turns [false] into a
-    payload reject and a lease re-issue. *)
-
 val clear : unit -> unit
 (** Delete every finished cache entry on disk, including quarantined
     [.bad] files (the directory itself stays). In-flight [.tmp] files

@@ -19,7 +19,7 @@ let max_frame = 32 * 1024 * 1024
    many bytes without a newline cannot be a valid header. *)
 let max_header = String.length magic + 10
 
-type error = Closed | Torn | Oversized of int | Garbage of string | Timeout
+type error = Closed | Torn | Oversized of int | Garbage of string
 
 let error_to_string = function
   | Closed -> "connection closed"
@@ -27,7 +27,6 @@ let error_to_string = function
   | Oversized n -> Printf.sprintf "oversized frame: %d bytes declared" n
   | Garbage h ->
       Printf.sprintf "garbage frame header: %S" (String.sub h 0 (min 32 (String.length h)))
-  | Timeout -> "timed out waiting for a frame"
 
 let rec really_read fd buf ofs len =
   if len = 0 then true
@@ -72,23 +71,6 @@ let read ?(max_bytes = max_frame) fd =
             if really_read fd payload 0 len then Ok (Bytes.unsafe_to_string payload)
             else Error Torn
       end
-
-(* Bounded wait for the *first* byte of a frame, then an ordinary
-   blocking read. The deadline guards against a peer that connects
-   and then says nothing (a half-open registration, a partitioned
-   coordinator) — it does not bound a peer that trickles bytes
-   mid-frame, which the dispatch layer's lease deadlines cover. *)
-let read_timeout ?max_bytes ~timeout_s fd =
-  let rec wait deadline =
-    let remaining = deadline -. Unix.gettimeofday () in
-    if remaining <= 0.0 then Error Timeout
-    else
-      match Unix.select [ fd ] [] [] remaining with
-      | [], _, _ -> Error Timeout
-      | _ :: _, _, _ -> read ?max_bytes fd
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait deadline
-  in
-  wait (Unix.gettimeofday () +. Float.max 0.0 timeout_s)
 
 let write fd payload =
   let msg =

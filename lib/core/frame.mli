@@ -22,20 +22,11 @@ type error =
   | Torn  (** EOF inside a header or declared payload *)
   | Oversized of int  (** declared length above the cap *)
   | Garbage of string  (** header is not [RSRV1 <int>] *)
-  | Timeout  (** no frame began within {!read_timeout}'s bound *)
 
 val error_to_string : error -> string
 
 val read : ?max_bytes:int -> Unix.file_descr -> (string, error) result
 (** Read one frame, blocking; returns the payload. *)
-
-val read_timeout :
-  ?max_bytes:int -> timeout_s:float -> Unix.file_descr -> (string, error) result
-(** Like {!read}, but fail with [Timeout] unless the frame's first
-    byte arrives within [timeout_s] seconds. Used where blocking
-    forever would hang on a silent peer: the dispatch registration
-    handshake and the remote worker's partition watch. Once the first
-    byte has arrived the rest of the frame is read blocking. *)
 
 val write : Unix.file_descr -> string -> int
 (** Write one frame; returns total bytes written (header included).

@@ -572,11 +572,10 @@ module Client = struct
       match addr with Unix.ADDR_UNIX _ -> Unix.PF_UNIX | _ -> Unix.PF_INET
     in
     let deadline = Unix.gettimeofday () +. retry_for in
-    (* Same jittered-backoff discipline as the dispatch layer's remote
-       workers: a daemon that is still binding its socket sees a few
-       quick probes, a daemon that is seconds away sees geometrically
-       sparser ones — and concurrent clients (seeded by pid) do not
-       retry in lockstep. *)
+    (* Jittered backoff: a daemon that is still binding its socket
+       sees a few quick probes, a daemon that is seconds away sees
+       geometrically sparser ones — and concurrent clients (seeded by
+       pid) do not retry in lockstep. *)
     let backoff =
       Repro_util.Backoff.create ~base_ms:25.0 ~max_ms:1_000.0
         ~seed:(Unix.getpid ()) ()

@@ -150,9 +150,8 @@ module Client : sig
   (** Connect to a daemon. [retry_for] (default [0.]) keeps retrying
       refused/absent endpoints for that many seconds — for callers
       racing a daemon that is still binding in another process.
-      Retries pace themselves through {!Repro_util.Backoff} (the same
-      jittered exponential schedule the dispatch layer's remote
-      workers use to re-dial their coordinator). *)
+      Retries pace themselves through {!Repro_util.Backoff}'s jittered
+      exponential schedule. *)
 
   val fd : conn -> Unix.file_descr
   (** The raw socket — exposed so protocol tests can write torn or

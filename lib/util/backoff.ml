@@ -1,11 +1,9 @@
-(* Jittered exponential backoff, shared by every reconnect loop in
-   the tree (the dispatch remote workers dialing their coordinator,
-   the server client's [retry_for] connect loop). One implementation
-   means one set of properties to test: delays grow geometrically,
-   saturate at a cap, carry deterministic seed-driven jitter (so two
-   workers spawned in the same instant do not hammer the listener in
-   lockstep, yet a fixed seed replays the exact delay sequence), and
-   [reset] snaps back to the base after a success. *)
+(* Jittered exponential backoff for the server client's [retry_for]
+   connect loop. Delays grow geometrically, saturate at a cap, carry
+   deterministic seed-driven jitter (so two clients started in the
+   same instant do not hammer the listener in lockstep, yet a fixed
+   seed replays the exact delay sequence), and [reset] snaps back to
+   the base after a success. *)
 
 type t = {
   base_ms : float;

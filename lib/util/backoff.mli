@@ -1,14 +1,12 @@
 (** Jittered exponential backoff for reconnect loops.
 
-    One shared implementation for every "dial until the peer is
-    there" loop: the dispatch layer's remote workers reconnecting to
-    their coordinator and the {!Repro_core.Server} client's
-    [retry_for] connect loop. Delays start at [base_ms], double per
-    attempt, saturate at [max_ms], and carry a deterministic
-    seed-driven jitter factor in [[1-jitter, 1+jitter]] — distinct
-    seeds decorrelate a fleet of workers (no reconnect stampede on a
-    restarted coordinator), while a fixed seed replays the exact
-    delay sequence for tests. *)
+    Used by the {!Repro_core.Server} client's [retry_for] connect
+    loop ("dial until the peer is there"). Delays start at [base_ms],
+    double per attempt, saturate at [max_ms], and carry a
+    deterministic seed-driven jitter factor in [[1-jitter, 1+jitter]]
+    — distinct seeds decorrelate concurrent clients (no reconnect
+    stampede on a restarted daemon), while a fixed seed replays the
+    exact delay sequence for tests. *)
 
 type t
 

@@ -3,8 +3,7 @@ exception Injected of string
 let sites =
   [ "engine.task"; "trace.capture"; "cache.read"; "cache.decode";
     "cache.write"; "cache.write.torn"; "journal.append"; "journal.torn";
-    "dispatch.spawn"; "dispatch.lease"; "dispatch.result";
-    "dispatch.connect"; "dispatch.heartbeat"; "dispatch.payload" ]
+    "dispatch.spawn"; "dispatch.lease"; "dispatch.result" ]
 
 type rule = { rsite : string (* a member of [sites], or "all" *);
               prob : float; seed : int }

@@ -45,14 +45,7 @@ val sites : string list
     (the coordinator's lease grant is torn: the worker's channel is
     severed and the task re-issued), [dispatch.result] (a worker
     dies after computing a task but before acknowledging it — the
-    canonical exactly-once hazard), [dispatch.connect] (a remote
-    worker's dial or the coordinator's accept fails: the worker backs
-    off and re-dials), [dispatch.heartbeat] (a heartbeat frame is
-    dropped or its echo ignored: the peer looks partitioned and the
-    lease/severing machinery takes over), [dispatch.payload] (a
-    remote worker corrupts a shipped artifact byte: the coordinator's
-    digest verification rejects the payload and re-issues the
-    lease). *)
+    canonical exactly-once hazard). *)
 
 val configure : string option -> unit
 (** Replace the rule set from a spec string; [None] or [Some ""]

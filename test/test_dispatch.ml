@@ -284,304 +284,6 @@ let test_spawn_fault_fallback () =
       Alcotest.(check bool) "byte-identical" true (String.equal want got))
 
 (* ------------------------------------------------------------------ *)
-(* Remote (TCP) transport *)
-
-(* Bring up a coordinator with [locals] stdio workers plus [remotes]
-   loopback-TCP helper processes, each dialing the pool's
-   kernel-picked port with a private cache directory of its own — so
-   their artifacts can only come home over the wire. The independent
-   reference rendering is computed {e before} the listener exists
-   (nothing can dispatch), then [f] runs with the fleet registered
-   and receives the reference text and the helper pids. *)
-let with_remote ?(locals = 0) ?batch ?faults ~remotes id f =
-  with_dispatch_env (fun () ->
-      let want = reference id in
-      let rdirs =
-        List.init remotes (fun i ->
-            Printf.sprintf "%s_r%d" (C.Cache.dir ()) i)
-      in
-      D.set_workers (Some locals);
-      D.set_lease_batch batch;
-      (match faults with
-      | Some _ -> Repro_util.Faults.configure faults
-      | None -> ());
-      D.set_listen (Some "127.0.0.1:0");
-      Fun.protect
-        ~finally:(fun () ->
-          D.shutdown ();
-          D.set_listen None;
-          D.set_lease_batch None;
-          if rdirs <> [] then
-            ignore
-              (Sys.command
-                 (Printf.sprintf "rm -rf %s" (String.concat " " rdirs))))
-        (fun () ->
-          D.reset_stats ();
-          D.prewarm ();
-          let pids =
-            List.filter_map
-              (fun d -> D.spawn_remote_worker ~cache_dir:d ())
-              rdirs
-          in
-          if List.length pids < remotes then
-            Alcotest.failf "only %d of %d remote helpers spawned"
-              (List.length pids) remotes;
-          let registered =
-            wait_for ~timeout_s:15.0 (fun () ->
-                D.poll_registrations ();
-                (D.stats ()).D.remote_workers >= List.length pids)
-          in
-          if not registered then
-            Alcotest.fail "remote workers never completed registration";
-          f ~want pids))
-
-(* Byte identity over mixed pools: L local stdio workers plus R
-   loopback-TCP workers, under a random lease batch, must render the
-   same bytes as the pure in-process run — the tentpole property. *)
-let qcheck_remote_identical =
-  QCheck.Test.make
-    ~name:"mixed local+remote pools render byte-identical to -j1" ~count:3
-    QCheck.(
-      quad arb_id (int_range 0 2) (int_range 1 2) (int_range 1 3))
-    (fun (id, locals, remotes, batch) ->
-      with_remote ~locals ~batch ~remotes id (fun ~want _pids ->
-          let got = C.Report.run_to_string ~scale ~jobs:1 id in
-          let s = D.stats () in
-          if s.D.dup_results <> 0 then
-            QCheck.Test.fail_reportf "dup_results %d <> 0" s.D.dup_results;
-          let ntasks = List.length (C.Experiment.tasks_for id) in
-          if s.D.completed + s.D.fallback + s.D.skipped_journal < ntasks then
-            QCheck.Test.fail_reportf "only %d of %d tasks accounted for"
-              (s.D.completed + s.D.fallback + s.D.skipped_journal)
-              ntasks;
-          if remotes > 0 && s.D.wire_artifacts = 0 && s.D.completed > 0
-             && locals = 0
-          then
-            QCheck.Test.fail_reportf
-              "remote-only pool completed %d tasks but shipped no artifacts"
-              s.D.completed;
-          String.equal want got))
-
-(* Registration handshake: a peer speaking the wrong protocol, the
-   wrong cache format, or plain garbage gets a typed rejection frame
-   back — never a hang, never a lease — and every rejection counts. *)
-let test_handshake_rejects () =
-  with_remote ~remotes:0 C.Experiment.Fig5 (fun ~want:_ _pids ->
-      let module J = Repro_util.Json in
-      let port =
-        match D.listen_port () with
-        | Some p -> p
-        | None -> Alcotest.fail "pool has no listener"
-      in
-      let hello ?(proto = D.proto_version) ?(cache = C.Cache.version)
-          ?(fingerprint = D.catalog_fingerprint ()) () =
-        J.to_string
-          (J.Obj
-             [ ("op", J.Str "hello");
-               ("proto", J.Num (float_of_int proto));
-               ("cache", J.Str cache); ("fingerprint", J.Str fingerprint);
-               ("reconnect", J.Bool false) ])
-      in
-      let attempt payload =
-        let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-        Fun.protect
-          ~finally:(fun () ->
-            try Unix.close fd with Unix.Unix_error _ -> ())
-          (fun () ->
-            Unix.connect fd
-              (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-            ignore (C.Frame.write fd payload);
-            D.poll_registrations ();
-            match C.Frame.read_timeout ~timeout_s:5.0 fd with
-            | Ok reply -> (
-                match J.of_string reply with
-                | Ok msg -> (
-                    match (J.member "op" msg, J.member "reason" msg) with
-                    | Some (J.Str "reject"), Some (J.Str r) -> Some r
-                    | Some (J.Str "welcome"), _ -> Some "welcome"
-                    | _ -> None)
-                | Error _ -> None)
-            | Error _ -> None)
-      in
-      let r0 = (D.stats ()).D.handshake_rejects in
-      Alcotest.(check (option string))
-        "wrong protocol version" (Some "proto-version")
-        (attempt (hello ~proto:99 ()));
-      Alcotest.(check (option string))
-        "wrong cache version" (Some "cache-version")
-        (attempt (hello ~cache:"not-a-version" ()));
-      Alcotest.(check (option string))
-        "wrong catalogue fingerprint" (Some "fingerprint")
-        (attempt (hello ~fingerprint:"deadbeef" ()));
-      Alcotest.(check (option string))
-        "garbage hello" (Some "garbage") (attempt "not json at all");
-      Alcotest.(check int) "every rejection counted" (r0 + 4)
-        (D.stats ()).D.handshake_rejects;
-      (* The listener survives abuse: a well-formed hello after four
-         rejections is still welcomed. *)
-      Alcotest.(check (option string))
-        "valid hello still accepted" (Some "welcome") (attempt (hello ())))
-
-(* Partition: SIGSTOP the only remote worker mid-sweep. Its lease
-   must expire and reissue (exactly once — the late duplicate ack is
-   dropped), the silent connection must be severed on heartbeat
-   timeout, and the SIGCONT'd worker must re-register as a fresh
-   worker and help finish the sweep — byte-identically. *)
-let test_remote_partition_reissue () =
-  Unix.putenv "REPRO_LEASE_MS" "200";
-  Unix.putenv "REPRO_HB_MS" "100";
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "REPRO_LEASE_MS" "300000";
-      Unix.putenv "REPRO_HB_MS" "1000")
-    (fun () ->
-      with_remote ~remotes:1 C.Experiment.Fig5 (fun ~want pids ->
-          let victim = List.hd pids in
-          let struck = Atomic.make false in
-          let stopper =
-            Domain.spawn (fun () ->
-                if
-                  wait_for (fun () ->
-                      let s = D.stats () in
-                      s.D.completed >= 2 && s.D.tasks - s.D.completed > 4)
-                then begin
-                  (try Unix.kill victim Sys.sigstop
-                   with Unix.Unix_error _ -> ());
-                  Atomic.set struck true;
-                  (* Hold the stop until the coordinator has noticed
-                     the partition end-to-end: lease expiry, then the
-                     heartbeat sever. Then let the worker come back
-                     and find its connection gone. *)
-                  ignore
-                    (wait_for (fun () ->
-                         let s = D.stats () in
-                         s.D.expired >= 1 && s.D.hb_timeouts >= 1));
-                  try Unix.kill victim Sys.sigcont
-                  with Unix.Unix_error _ -> ()
-                end)
-          in
-          let got =
-            Fun.protect
-              ~finally:(fun () ->
-                Domain.join stopper;
-                try Unix.kill victim Sys.sigcont
-                with Unix.Unix_error _ -> ())
-              (fun () ->
-                C.Report.run_to_string ~scale ~jobs:1 C.Experiment.Fig5)
-          in
-          let s = D.stats () in
-          if Atomic.get struck then begin
-            Alcotest.(check bool) "a remote lease expired" true
-              (s.D.expired >= 1);
-            Alcotest.(check bool) "the expired lease was reissued" true
-              (s.D.reissued >= 1);
-            Alcotest.(check bool) "the partitioned worker was severed" true
-              (s.D.hb_timeouts >= 1 || s.D.worker_deaths >= 1);
-            Alcotest.(check bool) "the worker re-registered" true
-              (s.D.reconnects >= 1)
-          end;
-          Alcotest.(check bool) "byte-identical" true
-            (String.equal want got)))
-
-(* Corrupt artifacts on the wire: with the payload fault firing at
-   probability 1.0, every shipped artifact arrives torn. The
-   coordinator must quarantine each one as [.bad] evidence, count the
-   rejection, and still finish the sweep (re-issue, then the inline
-   escape hatch) with identical bytes. *)
-let test_corrupt_payload_quarantine () =
-  with_remote ~remotes:1 ~faults:"dispatch.payload:1.0:3"
-    C.Experiment.Fig7
-    (fun ~want _pids ->
-      let got = C.Report.run_to_string ~scale ~jobs:1 C.Experiment.Fig7 in
-      let s = D.stats () in
-      Alcotest.(check bool) "payload rejections recorded" true
-        (s.D.payload_rejects > 0);
-      Alcotest.(check bool) "torn payloads quarantined as .bad" true
-        (C.Cache.quarantined () > 0);
-      Alcotest.(check int) "no double counts" 0 s.D.dup_results;
-      Alcotest.(check bool) "byte-identical" true (String.equal want got))
-
-(* A SIGKILLed remote helper cannot reconnect; with the whole remote
-   pool dead the coordinator must warn, wait out the registration
-   grace, and finish in-process — same bytes, nothing double-counted. *)
-let test_remote_kill_fallback () =
-  Unix.putenv "REPRO_REMOTE_GRACE_MS" "300";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "REPRO_REMOTE_GRACE_MS" "3000")
-    (fun () ->
-      with_remote ~remotes:1 C.Experiment.Fig6 (fun ~want pids ->
-          let victim = List.hd pids in
-          let killer =
-            Domain.spawn (fun () ->
-                if wait_for (fun () -> (D.stats ()).D.completed >= 1) then
-                  try Unix.kill victim Sys.sigkill
-                  with Unix.Unix_error _ -> ())
-          in
-          let got =
-            Fun.protect
-              ~finally:(fun () -> Domain.join killer)
-              (fun () ->
-                C.Report.run_to_string ~scale ~jobs:1 C.Experiment.Fig6)
-          in
-          let s = D.stats () in
-          Alcotest.(check bool) "the death was recorded" true
-            (s.D.worker_deaths >= 1);
-          Alcotest.(check int) "no double counts" 0 s.D.dup_results;
-          Alcotest.(check bool) "byte-identical" true
-            (String.equal want got)))
-
-(* Graceful drain: SIGTERM mid-sweep stops lease issue, the loop
-   returns with the remainder pending, and the journal keeps its
-   completion records for the next coordinator — while the rendering
-   itself still finishes in-process with identical bytes. *)
-let test_drain_on_sigterm () =
-  with_remote ~locals:2 ~remotes:0 C.Experiment.Fig5 (fun ~want _pids ->
-      D.install_sigterm_drain ();
-      let fired = Atomic.make false in
-      Fun.protect
-        ~finally:(fun () -> D.set_draining false)
-        (fun () ->
-          let trigger =
-            Domain.spawn (fun () ->
-                if
-                  wait_for (fun () ->
-                      let s = D.stats () in
-                      s.D.completed >= 2 && s.D.tasks - s.D.completed > 4)
-                then begin
-                  Unix.kill (Unix.getpid ()) Sys.sigterm;
-                  Atomic.set fired true
-                end)
-          in
-          let got =
-            Fun.protect
-              ~finally:(fun () -> Domain.join trigger)
-              (fun () ->
-                C.Report.run_to_string ~scale ~jobs:1 C.Experiment.Fig5)
-          in
-          Alcotest.(check bool) "byte-identical" true
-            (String.equal want got);
-          if Atomic.get fired then begin
-            Alcotest.(check bool) "coordinator entered drain mode" true
-              (D.draining ());
-            (* The cut sweep must leave its completion records behind:
-               a restarted coordinator resumes, it never recomputes
-               what was already acknowledged. *)
-            match
-              C.Journal.open_run
-                ~name:(D.journal_name C.Experiment.Fig5)
-                ~fingerprint:
-                  (D.journal_fingerprint ~scale C.Experiment.Fig5)
-            with
-            | Some (j, recovered) ->
-                C.Journal.finish j;
-                Alcotest.(check bool)
-                  "journal kept the completions recorded before the drain"
-                  true
-                  (List.length recovered >= 1)
-            | None -> Alcotest.fail "drained journal was left locked"
-          end))
-
-(* ------------------------------------------------------------------ *)
 
 let qcheck tests = Qseed.all tests
 
@@ -597,18 +299,4 @@ let () =
            test_journal_consumed_after_run ]);
       ("fallback",
        [ Alcotest.test_case "all spawns fail: in-process fallback" `Quick
-           test_spawn_fault_fallback ]);
-      ("remote",
-       qcheck [ qcheck_remote_identical ]
-       @ [ Alcotest.test_case "handshake rejections are typed and counted"
-             `Quick test_handshake_rejects;
-           Alcotest.test_case
-             "partitioned worker: expiry, reissue, sever, reconnect" `Quick
-             test_remote_partition_reissue;
-           Alcotest.test_case
-             "corrupt payloads quarantined; sweep still identical" `Quick
-             test_corrupt_payload_quarantine;
-           Alcotest.test_case "dead remote pool: in-process fallback" `Quick
-             test_remote_kill_fallback;
-           Alcotest.test_case "SIGTERM drains; journal keeps completions"
-             `Quick test_drain_on_sigterm ]) ]
+           test_spawn_fault_fallback ]) ]

@@ -58,31 +58,6 @@ let test_faults_site_scoping () =
       Alcotest.(check bool) "all covers every site" true
         (List.for_all Faults.fires Faults.sites))
 
-(* The network-chaos sites (remote dispatch) are first-class registry
-   members: they parse, scope, and clamp exactly like every other
-   site, so REPRO_FAULTS replays network failures deterministically. *)
-let test_faults_dispatch_network_sites () =
-  protected (fun () ->
-      List.iter
-        (fun site ->
-          Alcotest.(check bool)
-            (site ^ " registered") true (List.mem site Faults.sites);
-          Faults.configure (Some (site ^ ":1.0:3"));
-          Alcotest.(check bool) (site ^ " fires when scoped") true
-            (Faults.fires site);
-          Alcotest.(check bool) (site ^ " leaves others quiet") false
-            (Faults.fires "dispatch.spawn"))
-        [ "dispatch.connect"; "dispatch.heartbeat"; "dispatch.payload" ];
-      (* Out-of-range probability clamps (warn-once), like every site. *)
-      Faults.configure (Some "dispatch.payload:3.5:9");
-      Alcotest.(check (option string)) "probability clamped"
-        (Some "dispatch.payload:1:9") (Faults.spec ());
-      Faults.configure (Some "dispatch.heartbeat:-0.5:9");
-      Alcotest.(check (option string)) "negative probability clamped"
-        (Some "dispatch.heartbeat:0:9") (Faults.spec ());
-      Alcotest.(check bool) "clamped-to-zero never fires" false
-        (Faults.fires "dispatch.heartbeat"))
-
 let test_faults_malformed_entries () =
   protected (fun () ->
       (* Unknown site, bad probability, bad seed, wrong arity: each
@@ -95,6 +70,11 @@ let test_faults_malformed_entries () =
       Alcotest.(check (option string)) "clamped to 1"
         (Some "engine.task:1:3") (Faults.spec ());
       Alcotest.(check bool) "prob 1 always fires" true
+        (Faults.fires "engine.task");
+      Faults.configure (Some "engine.task:-0.5:9");
+      Alcotest.(check (option string)) "negative probability clamped"
+        (Some "engine.task:0:9") (Faults.spec ());
+      Alcotest.(check bool) "clamped-to-zero never fires" false
         (Faults.fires "engine.task"))
 
 let test_faults_deterministic () =
@@ -685,9 +665,7 @@ let () =
           Alcotest.test_case "malformed entries" `Quick
             test_faults_malformed_entries;
           Alcotest.test_case "seeded determinism" `Quick
-            test_faults_deterministic;
-          Alcotest.test_case "dispatch network sites" `Quick
-            test_faults_dispatch_network_sites ] );
+            test_faults_deterministic ] );
       ( "engine",
         [ Alcotest.test_case "retries absorb transients" `Quick
             test_retry_absorbs_transient;

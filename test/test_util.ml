@@ -340,8 +340,7 @@ let prop_roundup_pow2 =
 (* Json: the bench emitter/validator pair must round-trip. *)
 
 (* ------------------------------------------------------------------ *)
-(* Backoff: the shared reconnect schedule (dispatch remote workers,
-   server client connect retries). *)
+(* Backoff: the server client's connect-retry schedule. *)
 
 module Backoff = Repro_util.Backoff
 
