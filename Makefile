@@ -45,7 +45,7 @@ bench-json: build
 # Full CI gate: build everything, run the whole test suite (golden,
 # qcheck differential, packed-replay and fused-sweep tests included),
 # then regenerate BENCH_results.json over the trace-sweep figures and
-# validate the emitted schema (v12; every figure replays the packed
+# validate the emitted schema (v13; every figure replays the packed
 # capture, so the file carries no stream-vs-replay probe).
 # fig8p adds the learned block (lru_mpki / preuse_mpki /
 # crossover_size) to the file.
@@ -63,7 +63,7 @@ ci: build
 
 # Fault-torture gate: the tier-1 suite plus a bench sweep with every
 # fault site firing at 5% (seed 42). Supervision must absorb the
-# injected failures — the run completes, emits schema-v12 JSON that
+# injected failures — the run completes, emits schema-v13 JSON that
 # validates, and the injected-fault counter in the engine footer
 # proves the sites actually fired. The fresh cache directory also
 # exercises quarantine and torn-write recovery end to end.
@@ -104,7 +104,10 @@ ci-serve: build
 # Run 2, chaos: every dispatch fault site firing (spawn failures,
 # dropped leases, workers dying between cache write and ack) plus an
 # explicit kill -9 of a pool member mid-sweep — the sweep must still
-# complete byte-identically; speed is not gated under chaos.
+# complete byte-identically; speed is not gated under chaos. Fault
+# draws share one deterministic tick and the pool's first spawns take
+# the first ticks, so the spawn seed is chosen to fire among them; the
+# grep proves a spawn failure was really injected.
 ci-dist: build
 	rm -rf _dist_cache BENCH_dist.json
 	REPRO_SCALE=0.05 REPRO_CACHE_DIR=_dist_cache \
@@ -114,11 +117,13 @@ ci-dist: build
 	$(BENCH) --check-json BENCH_dist.json --expect-dist
 	rm -rf _dist_cache BENCH_dist.json
 	REPRO_SCALE=0.05 REPRO_CACHE_DIR=_dist_cache \
-	  REPRO_FAULTS=dispatch.spawn:0.1:7,dispatch.lease:0.1:7,dispatch.result:0.2:7 \
+	  REPRO_FAULTS=dispatch.spawn:0.25:3,dispatch.lease:0.1:7,dispatch.result:0.2:7 \
 	  $(BENCH) \
 	    fig5 --workers 4 --dist-kill --json BENCH_dist.json
 	test -s BENCH_dist.json
 	$(BENCH) --check-json BENCH_dist.json --expect-dist
+	grep -Eq '"spawn_failures": [1-9]' BENCH_dist.json || \
+	  { echo "ci-dist: the chaos run injected no spawn failure"; exit 1; }
 	rm -rf _dist_cache BENCH_dist.json
 
 clean:

@@ -2,7 +2,7 @@
    (every id of Repro_core.Experiment, or the ones named on the command
    line), then the extension studies and the Bechamel
    microbenchmarks. `--json FILE` also writes the measurements as
-   schema-v12 JSON, `--check-json FILE` validates such a file, and
+   schema-v13 JSON, `--check-json FILE` validates such a file, and
    `--serve-bench` load-tests the characterization daemon instead.
    The flags and their usage text live in one table ([flags]); so do
    the JSON fields, their gates and their sources ([schema]).
@@ -12,10 +12,9 @@
 
    REPRO_SCALE scales every benchmark's instruction budget (default
    1.0) and REPRO_TRACE=1 prints the telemetry span tree to stderr on
-   exit. An interrupted run leaves a resume journal under
-   <cache dir>/journal/; the next invocation with the same experiment
-   list, scale and tool version replays the completed experiments
-   byte-identically and continues from the first unfinished one. *)
+   exit. An interrupted run keeps nothing but the cache entries it
+   stored: a rerun renders every experiment again, finished ones from
+   cache hits (unless the cache is off). *)
 
 module C = Repro_core
 module E = Repro_core.Experiment
@@ -158,12 +157,11 @@ let dist_probe id =
         (Some dist_ms, if dist_ms > 0.0 then Some (j1_ms /. dist_ms) else None))
   end
 
-(* Run one experiment under supervision. Returns the rendered text
-   (printed, and journaled by the caller when the run was clean), the
-   outcome status, and the measurement row when [measure]. A failure
-   that escapes the Experiment layer (a fatal class or a strict-mode
-   abort) is caught here when non-strict and rendered as a marked
-   hole, and the harness moves on to the next experiment. *)
+(* Run one experiment under supervision, print its rendered text and
+   return its measurement row when [measure]. A failure that escapes
+   the Experiment layer (a fatal class or a strict-mode abort) is
+   caught here when non-strict and rendered as a marked hole, and the
+   harness moves on to the next experiment. *)
 let run_experiment ~measure id =
   let name = E.to_string id in
   let stats0 = C.Engine.stats () in
@@ -187,38 +185,35 @@ let run_experiment ~measure id =
     (if status = "failed" then "FAILED" else "regenerated")
     (wall_ms /. 1000.0) scale !jobs
     (if !jobs = 1 then "" else "s");
-  let row =
-    if not measure then None
-    else begin
-      (* Deltas captured before the probes, which simulate more and
-         take cache misses of their own. The probes rerun the
-         experiment; numbers from a degraded or failed run would
-         compare apples to holes, so they only follow a clean pass. *)
-      let sim_insts = T.counter "experiment.sim_insts" - insts0 in
-      let s1 = C.Engine.stats () in
-      let probe f = if status = "ok" then f id else (None, None) in
-      let seq_ms, par_ms = probe speedup_probe in
-      let dist_ms, dist_speedup = probe dist_probe in
-      Some
-        { m_id = name;
-          m_status = status;
-          m_wall_ms = wall_ms;
-          m_sim_insts = sim_insts;
-          m_hits = s1.cache_hits - stats0.cache_hits;
-          m_misses = s1.cache_misses - stats0.cache_misses;
-          m_holes = holes_n;
-          m_ok = s1.tasks_run - stats0.tasks_run;
-          m_retried = s1.tasks_retried - stats0.tasks_retried;
-          m_failed = s1.tasks_failed - stats0.tasks_failed;
-          m_timed_out = s1.tasks_timed_out - stats0.tasks_timed_out;
-          m_faults = Repro_util.Faults.injected () - faults0;
-          m_seq_ms = seq_ms;
-          m_par_ms = par_ms;
-          m_dist_ms = dist_ms;
-          m_dist_speedup = dist_speedup }
-    end
-  in
-  (text, status, row)
+  if not measure then None
+  else begin
+    (* Deltas captured before the probes, which simulate more and
+       take cache misses of their own. The probes rerun the
+       experiment; numbers from a degraded or failed run would
+       compare apples to holes, so they only follow a clean pass. *)
+    let sim_insts = T.counter "experiment.sim_insts" - insts0 in
+    let s1 = C.Engine.stats () in
+    let probe f = if status = "ok" then f id else (None, None) in
+    let seq_ms, par_ms = probe speedup_probe in
+    let dist_ms, dist_speedup = probe dist_probe in
+    Some
+      { m_id = name;
+        m_status = status;
+        m_wall_ms = wall_ms;
+        m_sim_insts = sim_insts;
+        m_hits = s1.cache_hits - stats0.cache_hits;
+        m_misses = s1.cache_misses - stats0.cache_misses;
+        m_holes = holes_n;
+        m_ok = s1.tasks_run - stats0.tasks_run;
+        m_retried = s1.tasks_retried - stats0.tasks_retried;
+        m_failed = s1.tasks_failed - stats0.tasks_failed;
+        m_timed_out = s1.tasks_timed_out - stats0.tasks_timed_out;
+        m_faults = Repro_util.Faults.injected () - faults0;
+        m_seq_ms = seq_ms;
+        m_par_ms = par_ms;
+        m_dist_ms = dist_ms;
+        m_dist_speedup = dist_speedup }
+  end
 
 (* ------------------------------------------------------------------ *)
 (* The extension studies (beyond the paper). *)
@@ -247,7 +242,7 @@ let extension_study () =
    required; null always means "did not run here", never "ran and
    measured zero". *)
 
-let schema_version = 12
+let schema_version = 13
 
 (* What `--check-json` knows besides the file: the --expect-* flags. *)
 type ctx = { doc : J.t; expects : string list }
@@ -359,9 +354,8 @@ let learned_fields =
 
 (* The distributed block (--workers): the byte-identity gate over
    every probed experiment, and no acknowledgement counted twice.
-   Reissues, expiries, worker deaths, fallbacks, spawn failures,
-   journal skips and chaos kills are the pool's decisions and are
-   only reported. *)
+   Reissues, expiries, worker deaths, fallbacks, spawn failures and
+   chaos kills are the pool's decisions and are only reported. *)
 let distributed_fields =
   let open D in
   [ field Count "workers" (fun _ -> int !dist_workers) ~gates:[ at_least 1.0 ];
@@ -376,7 +370,6 @@ let distributed_fields =
     field Count "worker_deaths" (fun s -> int s.worker_deaths);
     field Count "fallback" (fun s -> int s.fallback);
     field Count "spawn_failures" (fun s -> int s.spawn_failures);
-    field Count "skipped_journal" (fun s -> int s.skipped_journal);
     field Count "dup_results"
       (fun s -> int s.dup_results)
       ~gates:[ at_most 0.0 ];
@@ -576,7 +569,6 @@ let check_json ~expects path =
 
 let json_out = ref None
 let check_file = ref None
-let use_journal = ref true
 let expects = ref []
 let serve_req = ref None
 
@@ -620,8 +612,6 @@ let rec flags =
           | _ -> usage_error "bad job count %S (want a positive integer)" n);
       switch [ "--no-cache" ] "ignore the persistent cache directory" (fun () ->
           C.Cache.set_enabled false);
-      switch [ "--no-journal" ] "do not journal completed experiments"
-        (fun () -> use_journal := false);
       switch [ "--strict" ] "abort on the first failed measurement (no holes)"
         (fun () -> E.set_strict true);
       int_flag "--retry" ~lo:0 ~hi:10
@@ -704,73 +694,6 @@ let rec parse_flags = function
               parse_flags rest
           | _ -> usage_error "missing %s after %s" meta a))
 
-(* ------------------------------------------------------------------ *)
-(* Resume journal: each completed experiment's rendered text and
-   measurement row are journaled; a rerun after an interruption
-   replays them byte-identically and picks up at the first experiment
-   the journal does not cover. Only clean ("ok") experiments are
-   journaled — degraded or failed ones rerun, so transient trouble
-   heals across restarts. The fingerprint ties a journal to the
-   experiment list, scale, measurement mode, JSON schema and cache
-   version; any mismatch starts fresh. *)
-
-let journal_fingerprint ~measure ids =
-  String.concat "|"
-    ([ Printf.sprintf "schema%d" schema_version; C.Cache.version;
-       Printf.sprintf "%h" scale; string_of_bool measure;
-       string_of_int !dist_workers;
-       string_of_bool !dist_kill;
-       Option.value ~default:"" (Repro_util.Faults.spec ()) ]
-    @ List.map E.to_string ids)
-
-let journal_payload (text, row) : string =
-  Marshal.to_string (text, (row : measurement option)) []
-
-let journal_parse payload : string * measurement option =
-  Marshal.from_string payload 0
-
-(* Every experiment in order, resumed from the journal where it can
-   be; returns the measurement rows and the journal to finish. *)
-let run_experiments ~measure ids =
-  let journal, recovered =
-    if not !use_journal || ids = [] then (None, [])
-    else
-      match
-        C.Journal.open_run ~name:"bench"
-          ~fingerprint:(journal_fingerprint ~measure ids)
-      with
-      | Some (j, recs) -> (Some j, recs)
-      | None -> (None, [])
-  in
-  let run id =
-    let name = E.to_string id in
-    match List.assoc_opt name recovered with
-    | Some payload ->
-        (* Completed before the interruption: replay the stored
-           rendering byte-for-byte instead of recomputing. *)
-        let text, row = journal_parse payload in
-        print_string text;
-        Printf.printf "(%s resumed from journal)\n\n" name;
-        row
-    | None ->
-        let text, status, row = run_experiment ~measure id in
-        if status = "ok" then
-          Option.iter
-            (fun j ->
-              C.Journal.append j ~step:name
-                ~payload:(journal_payload (text, row)))
-            journal;
-        row
-  in
-  match List.filter_map run ids with
-  | rows -> (rows, journal)
-  | exception C.Failure.Error fl ->
-      (* Strict-mode abort: the journal survives, so a rerun resumes
-         from the last completed experiment. *)
-      Printf.eprintf "bench: aborted (strict): %s\n" (C.Failure.to_string fl);
-      Option.iter C.Journal.close journal;
-      exit 1
-
 let () =
   (* A process spawned as a dispatch worker (the --workers probe
      re-execs this binary) must enter the protocol loop before any
@@ -815,7 +738,12 @@ let () =
      change)\n\n"
     scale;
   let measure = !json_out <> None in
-  let rows, journal = run_experiments ~measure ids in
+  let rows =
+    try List.filter_map (run_experiment ~measure) ids
+    with C.Failure.Error fl ->
+      Printf.eprintf "bench: aborted (strict): %s\n" (C.Failure.to_string fl);
+      exit 1
+  in
   if ids <> [] then begin
     let s = C.Engine.stats () in
     let faults = Repro_util.Faults.injected () in
@@ -839,9 +767,6 @@ let () =
       in
       emit_json path { serve = None; learned; measurements = rows })
     !json_out;
-  (* Everything the journal covers has been produced and emitted: a
-     finished run leaves no journal behind. *)
-  Option.iter C.Journal.finish journal;
   let wants x = args = [] || List.mem x args in
   if wants "extension" then extension_study ();
   if wants "micro" then Micro.run ();

@@ -22,10 +22,12 @@ module Telemetry = Repro_util.Telemetry
    a wedged-but-alive worker can never race a successor into a
    half-written ack (cache stores themselves are atomic either way).
 
-   Exactly-once resume: completions are recorded through {!Journal}
-   (one record per task id, under the journal's own cross-process
-   lock), so a coordinator killed mid-sweep skips completed tasks on
-   restart; duplicate acks are counted and dropped. *)
+   At-least-once delivery: tasks are idempotent cache stores, so the
+   cache is the only record of finished work. A coordinator killed
+   mid-sweep loses nothing but time — the rerun's tasks for stored
+   artifacts are cache hits — and duplicate acks within a sweep are
+   counted and dropped. Whatever the pool leaves undone (every member
+   lost) is computed by the caller's ordinary in-process render. *)
 
 (* ------------------------------------------------------------------ *)
 (* Configuration *)
@@ -52,10 +54,9 @@ let lease_ms () =
 (* Statistics *)
 
 type stats = {
-  tasks : int;  (** tasks enumerated for dispatch (journal skips included) *)
+  tasks : int;  (** tasks enumerated for dispatch *)
   completed : int;  (** tasks acknowledged by a worker *)
-  fallback : int;  (** tasks finished in-process after the pool died *)
-  skipped_journal : int;  (** tasks skipped by exactly-once journal replay *)
+  fallback : int;  (** tasks left to the in-process render (pool died) *)
   reissued : int;  (** leases re-issued after a worker was lost *)
   expired : int;  (** leases that hit their monotonic deadline *)
   worker_deaths : int;  (** workers lost (EOF, torn frame, expiry) *)
@@ -67,7 +68,6 @@ type mstats = {
   mutable m_tasks : int;
   mutable m_completed : int;
   mutable m_fallback : int;
-  mutable m_skipped : int;
   mutable m_reissued : int;
   mutable m_expired : int;
   mutable m_deaths : int;
@@ -76,21 +76,19 @@ type mstats = {
 }
 
 let g =
-  { m_tasks = 0; m_completed = 0; m_fallback = 0; m_skipped = 0;
-    m_reissued = 0; m_expired = 0; m_deaths = 0; m_dups = 0;
-    m_spawn_failures = 0 }
+  { m_tasks = 0; m_completed = 0; m_fallback = 0; m_reissued = 0;
+    m_expired = 0; m_deaths = 0; m_dups = 0; m_spawn_failures = 0 }
 
 let stats () =
   { tasks = g.m_tasks; completed = g.m_completed; fallback = g.m_fallback;
-    skipped_journal = g.m_skipped; reissued = g.m_reissued;
-    expired = g.m_expired; worker_deaths = g.m_deaths;
-    dup_results = g.m_dups; spawn_failures = g.m_spawn_failures }
+    reissued = g.m_reissued; expired = g.m_expired;
+    worker_deaths = g.m_deaths; dup_results = g.m_dups;
+    spawn_failures = g.m_spawn_failures }
 
 let reset_stats () =
   g.m_tasks <- 0;
   g.m_completed <- 0;
   g.m_fallback <- 0;
-  g.m_skipped <- 0;
   g.m_reissued <- 0;
   g.m_expired <- 0;
   g.m_deaths <- 0;
@@ -167,7 +165,7 @@ let worker_main () =
             match J.member "op" msg with
             | Some (J.Str "task") ->
                 let ack = run_task_frame msg in
-                (* The canonical exactly-once hazard: the artifact is
+                (* The canonical at-least-once hazard: the artifact is
                    in the cache but the ack never leaves. The lease
                    expires or the EOF lands, the task re-issues, and
                    the successor's recompute is a pure cache hit. *)
@@ -319,14 +317,15 @@ let new_pool n =
   pool_ref := Some pool;
   pool
 
-(* Reuse the live pool when its world still matches; respawn when the
-   cache directory moved (the workers inherited the old one at exec
-   time) or nothing can serve. *)
+(* Reuse the live pool only when its world still matches: the same
+   cache directory (the workers inherited it at exec time) and exactly
+   [n] live members. A pool that lost a member, or was spawned for
+   another size, is replaced whole. *)
 let ensure_pool n =
   match !pool_ref with
   | Some pool
     when String.equal pool.p_cache_dir (Cache.dir ())
-         && List.exists (fun w -> w.w_alive) pool.members ->
+         && List.length (List.filter (fun w -> w.w_alive) pool.members) = n ->
       pool
   | Some pool ->
       pool_ref := None;
@@ -347,53 +346,19 @@ let prewarm () =
   if n > 0 then ignore (ensure_pool n)
 
 (* ------------------------------------------------------------------ *)
-(* Journal identity *)
-
-let journal_name id = "dispatch-" ^ Experiment.to_string id
-
-let journal_fingerprint ~scale id =
-  String.concat "|"
-    ([ "dispatch1"; Experiment.to_string id; Printf.sprintf "%h" scale;
-       Cache.version ]
-    @ List.map Experiment.task_id (Experiment.tasks_for id))
-
-(* ------------------------------------------------------------------ *)
 (* The sweep loop *)
 
-let run_tasks ~scale ~name ~fingerprint tasks pool =
+let run_tasks ~scale tasks pool =
   g.m_tasks <- g.m_tasks + List.length tasks;
-  let journal = Journal.open_run ~name ~fingerprint in
-  let jhandle = Option.map fst journal in
+  let pending = Queue.of_seq (List.to_seq tasks) in
   let done_tbl : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-  (match journal with
-  | Some (_, recovered) ->
-      List.iter
-        (fun (step, _) ->
-          if not (Hashtbl.mem done_tbl step) then begin
-            Hashtbl.replace done_tbl step ();
-            g.m_skipped <- g.m_skipped + 1;
-            Telemetry.incr "dispatch.journal_skipped"
-          end)
-        recovered
-  | None -> ());
-  let pending = Queue.create () in
-  List.iter
-    (fun t ->
-      if not (Hashtbl.mem done_tbl (Experiment.task_id t)) then
-        Queue.add t pending)
-    tasks;
   let record_done t =
     let idstr = Experiment.task_id t in
     if Hashtbl.mem done_tbl idstr then begin
       g.m_dups <- g.m_dups + 1;
       Telemetry.incr "dispatch.dup_results"
     end
-    else begin
-      Hashtbl.replace done_tbl idstr ();
-      match jhandle with
-      | Some j -> Journal.append j ~step:idstr ~payload:""
-      | None -> ()
-    end
+    else Hashtbl.replace done_tbl idstr ()
   in
   let fail_worker ?(expired = false) w =
     if w.w_alive then begin
@@ -482,27 +447,24 @@ let run_tasks ~scale ~name ~fingerprint tasks pool =
                same taxonomy as the server, sever and re-issue. *)
             fail_worker w)
   in
-  let fallback () =
-    if not (Queue.is_empty pending) then begin
-      Env.warn_once "dispatch-fallback"
-        "frontend-repro: no dispatch workers left; finishing the sweep \
-         in-process";
-      while not (Queue.is_empty pending) do
-        let t = Queue.pop pending in
-        (try ignore (Experiment.run_task ~scale t)
-         with Failure.Error _ | Faults.Injected _ -> ());
-        g.m_fallback <- g.m_fallback + 1;
-        Telemetry.incr "dispatch.fallback_tasks";
-        record_done t
-      done
-    end
+  (* Every member is gone: what is still pending is left to the
+     caller's render, whose cache misses compute it in-process at its
+     own -j under the ordinary supervision. *)
+  let hand_off () =
+    let n = Queue.length pending in
+    Env.warn_once "dispatch-fallback"
+      "frontend-repro: no dispatch workers left; the in-process render \
+       finishes the sweep";
+    g.m_fallback <- g.m_fallback + n;
+    Telemetry.add "dispatch.fallback_tasks" n;
+    Queue.clear pending
   in
   let rec loop () =
     grant ();
     let alive = List.filter (fun w -> w.w_alive) pool.members in
     let active = List.filter (fun w -> w.w_lease <> None) alive in
     if active = [] && Queue.is_empty pending then ()
-    else if alive = [] then fallback ()
+    else if alive = [] then hand_off ()
     else begin
       let now = Telemetry.now_ns () in
       let timeout =
@@ -533,16 +495,7 @@ let run_tasks ~scale ~name ~fingerprint tasks pool =
       loop ()
     end
   in
-  Fun.protect
-    ~finally:(fun () ->
-      match jhandle with Some j -> Journal.close j | None -> ())
-    (fun () ->
-      if List.exists (fun w -> w.w_alive) pool.members then loop ()
-      else fallback ();
-      (* The sweep completed: every task is recorded done, so the
-         journal has served its purpose. A coordinator killed before
-         this point leaves it for the restart to resume from. *)
-      Option.iter Journal.finish jhandle)
+  loop ()
 
 let prefetch ?(scale = 1.0) id =
   let n = workers () in
@@ -561,6 +514,4 @@ let prefetch ?(scale = 1.0) id =
     | tasks ->
         Telemetry.with_span "dispatch.run" (fun () ->
             let pool = ensure_pool n in
-            run_tasks ~scale ~name:(journal_name id)
-              ~fingerprint:(journal_fingerprint ~scale id)
-              tasks pool)
+            run_tasks ~scale tasks pool)

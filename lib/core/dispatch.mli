@@ -20,15 +20,16 @@
       (EOF on its channel) or wedges past its deadline (SIGKILLed
       first, so it can never race its successor) has its task
       re-issued to the next idle worker.
-    - {b Exactly-once resume.} Completions are recorded through
-      {!Journal} (one record per {!Experiment.task_id}, under the
-      journal's cross-process POSIX lock), so a coordinator killed
-      mid-sweep skips already-completed tasks on restart; duplicate
-      or unsolicited acknowledgements are counted and dropped, never
+    - {b At-least-once.} Tasks are idempotent cache stores, and the
+      cache is the only record of finished work: a coordinator killed
+      mid-sweep loses only time, since the rerun finds the stored
+      artifacts as cache hits. Duplicate or unsolicited
+      acknowledgements within a sweep are counted and dropped, never
       double-counted.
     - {b Fallback.} If every worker is gone (spawn failures included)
-      the coordinator warns once and finishes the queue in-process; a
-      sweep degrades in wall time, never in output.
+      the coordinator warns once and returns; the caller's ordinary
+      in-process render computes the remaining cache misses at its
+      own [-j]. A sweep degrades in wall time, never in output.
 
     Fault-torture runs drive the [dispatch.spawn], [dispatch.lease]
     and [dispatch.result] sites of {!Repro_util.Faults}; all of them
@@ -57,8 +58,9 @@ val prefetch : ?scale:float -> Experiment.id -> unit
     tasks, or — with a warn-once — when the persistent {!Cache} is
     disabled (workers could not hand results back without it).
     [scale] defaults to [1.0]. The pool is spawned lazily on first
-    use and reused across calls; it is respawned if the cache
-    directory has changed since. Never raises on worker failure. *)
+    use and reused across calls while it still has exactly
+    {!workers} live members over the current cache directory;
+    otherwise it is replaced whole. Never raises on worker failure. *)
 
 val prewarm : unit -> unit
 (** Spawn the {!workers}-sized pool eagerly (no tasks dispatched); a
@@ -92,10 +94,9 @@ val maybe_worker : unit -> unit
 (** {1 Introspection} *)
 
 type stats = {
-  tasks : int;  (** tasks enumerated for dispatch (journal skips included) *)
+  tasks : int;  (** tasks enumerated for dispatch *)
   completed : int;  (** tasks acknowledged by a worker *)
-  fallback : int;  (** tasks finished in-process after the pool died *)
-  skipped_journal : int;  (** tasks skipped by exactly-once journal replay *)
+  fallback : int;  (** tasks left to the in-process render (pool died) *)
   reissued : int;  (** leases re-issued after a worker was lost *)
   expired : int;  (** leases that hit their monotonic deadline *)
   worker_deaths : int;  (** workers lost (EOF, torn frame, expiry) *)
@@ -107,14 +108,3 @@ val stats : unit -> stats
 (** Cumulative counts since process start (or {!reset_stats}). *)
 
 val reset_stats : unit -> unit
-
-val journal_name : Experiment.id -> string
-(** Name of the dispatch journal for an experiment (one journal per
-    experiment, under [<cache dir>/journal/]). Exposed so tests can
-    pre-seed or inspect resume state. *)
-
-val journal_fingerprint : scale:float -> Experiment.id -> string
-(** Fingerprint tying a dispatch journal to one (experiment, scale,
-    cache version, task list):
-    any mismatch discards the journal rather than resuming the wrong
-    run's completions. *)

@@ -132,8 +132,8 @@ type task = { t_kind : string; t_bench : string }
     a benchmark profile name. *)
 
 val task_id : task -> string
-(** Stable string form, ["<kind>|<bench>"] — used as journal step and
-    wire identifier. *)
+(** Stable string form, ["<kind>|<bench>"] — the dispatch wire
+    identifier. *)
 
 val tasks_for : id -> task list
 (** Deterministic decomposition of an experiment into tasks, matching

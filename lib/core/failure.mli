@@ -8,11 +8,10 @@
     - [Transient]: worth retrying — injected faults
       ({!Repro_util.Faults.Injected}), I/O blips ([Sys_error]), and
       tasks abandoned because a sibling failed first.
-    - [Corrupt_input]: an input (cache entry, journal record) failed
-      its integrity check; retrying without repair is pointless. The
-      cache and journal recover in place (quarantine / truncate), so
-      this class reaching a supervisor means the recovery itself
-      failed.
+    - [Corrupt_input]: an input (a cache entry) failed its integrity
+      check; retrying without repair is pointless. The cache recovers
+      in place (quarantine), so this class reaching a supervisor
+      means the recovery itself failed.
     - [Timeout]: a task exceeded its monotonic deadline. Never
       retried — a deterministic task that was too slow once will be
       too slow again.

@@ -2,8 +2,8 @@ exception Injected of string
 
 let sites =
   [ "engine.task"; "trace.capture"; "cache.read"; "cache.decode";
-    "cache.write"; "cache.write.torn"; "journal.append"; "journal.torn";
-    "dispatch.spawn"; "dispatch.lease"; "dispatch.result" ]
+    "cache.write"; "cache.write.torn"; "dispatch.spawn"; "dispatch.lease";
+    "dispatch.result" ]
 
 type rule = { rsite : string (* a member of [sites], or "all" *);
               prob : float; seed : int }

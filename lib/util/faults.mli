@@ -2,9 +2,9 @@
 
     A registry of named fault {e sites} threaded through the hot
     paths of the engine, the persistent cache, the packed-trace
-    capture, and the resume journal. Each site calls {!inject} (or
-    {!fires} when the simulated failure is not an exception, e.g. a
-    torn write); with no rules configured both are a single boolean
+    capture, and the dispatch worker pool. Each site calls {!inject}
+    (or {!fires} when the simulated failure is not an exception, e.g.
+    a torn write); with no rules configured both are a single boolean
     load, so production runs pay nothing — the same zero-cost
     discipline as {!Telemetry}.
 
@@ -38,14 +38,12 @@ val sites : string list
     [cache.decode] (simulated corrupt entry: quarantined then
     missed), [cache.write] (simulated write I/O error: the store is
     dropped), [cache.write.torn] (a truncated entry is written to
-    the final path, simulating a crash mid-write), [journal.append]
-    (the checkpoint record is dropped), [journal.torn] (a truncated
-    checkpoint record is written), [dispatch.spawn] (a worker
-    process fails to start: the pool runs short), [dispatch.lease]
-    (the coordinator's lease grant is torn: the worker's channel is
-    severed and the task re-issued), [dispatch.result] (a worker
-    dies after computing a task but before acknowledging it — the
-    canonical exactly-once hazard). *)
+    the final path, simulating a crash mid-write), [dispatch.spawn]
+    (a worker process fails to start: the pool runs short),
+    [dispatch.lease] (the coordinator's lease grant is torn: the
+    worker's channel is severed and the task re-issued),
+    [dispatch.result] (a worker dies after computing a task but
+    before acknowledging it — the canonical at-least-once hazard). *)
 
 val configure : string option -> unit
 (** Replace the rule set from a spec string; [None] or [Some ""]

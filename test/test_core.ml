@@ -31,8 +31,8 @@ let test_experiment_describe_nonempty () =
         (String.length (C.Experiment.describe id) > 10))
     C.Experiment.all
 
-(* The dispatch task space is part of the journal fingerprint and the
-   wire protocol: pin every task id, in order, and each id's count. *)
+(* The dispatch task space is part of the wire protocol: pin every
+   task id, in order, and each id's count. *)
 let test_task_decomposition () =
   let ids =
     List.concat_map

@@ -7,10 +7,12 @@
    - kill -9 of a worker mid-sweep costs wall time, never bytes;
    - an expired lease is re-issued and the completion is recorded
      exactly once — no acknowledgement is ever double-counted;
-   - a pre-existing journal record is honoured on resume (the task is
-     skipped) without bending the rendering;
-   - when every spawn fails, the coordinator falls back in-process
-     and still renders the same bytes.
+   - a pool that lost a member is replaced whole before the next
+     figure, so later sweeps run at full strength;
+   - the cache is the only record of finished work: a sweep over a
+     cache filled in-process computes nothing;
+   - when every spawn fails, the coordinator leaves the whole sweep to
+     the in-process render, which still renders the same bytes.
 
    The worker pool re-execs this very test binary, which is why
    [Dispatch.maybe_worker] must be the first thing main does. *)
@@ -39,7 +41,6 @@ let with_dispatch_env f =
       D.set_workers None;
       Repro_util.Faults.configure None;
       C.Cache.clear ();
-      (try Sys.rmdir (Filename.concat dir "journal") with Sys_error _ -> ());
       (try Sys.rmdir dir with Sys_error _ -> ());
       C.Cache.set_dir was_dir;
       C.Cache.set_enabled was_enabled)
@@ -103,9 +104,9 @@ let qcheck_identical =
           if s.D.dup_results <> 0 then
             QCheck.Test.fail_reportf "dup_results %d <> 0" s.D.dup_results;
           let ntasks = List.length (C.Experiment.tasks_for id) in
-          if s.D.completed + s.D.fallback + s.D.skipped_journal < ntasks then
+          if s.D.completed + s.D.fallback < ntasks then
             QCheck.Test.fail_reportf "only %d of %d tasks accounted for"
-              (s.D.completed + s.D.fallback + s.D.skipped_journal)
+              (s.D.completed + s.D.fallback)
               ntasks;
           String.equal want got))
 
@@ -218,54 +219,84 @@ let qcheck_lease_expiry_exactly_once =
               String.equal want got)))
 
 (* ------------------------------------------------------------------ *)
-(* Journal replay: exactly-once resume *)
+(* A degraded pool is replaced, not reused *)
 
-let test_journal_replay_skips () =
+let test_degraded_pool_respawned () =
+  with_dispatch_env (fun () ->
+      let workers = 3 in
+      let want = reference C.Experiment.Fig6 in
+      D.reset_stats ();
+      D.set_workers (Some workers);
+      D.prewarm ();
+      let killed = Atomic.make false in
+      let killer =
+        Domain.spawn (fun () ->
+            if
+              wait_for (fun () ->
+                  let s = D.stats () in
+                  s.D.completed >= 1 && s.D.tasks - s.D.completed > 4)
+            then
+              match D.pids () with
+              | pid :: _ ->
+                  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+                  Atomic.set killed true
+              | [] -> ())
+      in
+      Fun.protect
+        ~finally:(fun () -> Domain.join killer)
+        (fun () -> ignore (dispatched ~workers C.Experiment.Fig5));
+      Alcotest.(check bool) "a member was killed mid-sweep" true
+        (Atomic.get killed);
+      Alcotest.(check bool) "its death was recorded" true
+        ((D.stats ()).D.worker_deaths > 0);
+      D.set_workers (Some workers);
+      let got = C.Report.run_to_string ~scale ~jobs:1 C.Experiment.Fig6 in
+      Alcotest.(check int) "next figure runs on a full pool" workers
+        (List.length (D.pids ()));
+      Alcotest.(check bool) "byte-identical" true (String.equal want got);
+      (* A pool spawned for one size is not reused for another. *)
+      D.set_workers (Some 2);
+      D.prewarm ();
+      Alcotest.(check int) "resized pool" 2 (List.length (D.pids ())))
+
+(* ------------------------------------------------------------------ *)
+(* Resume: the cache is the record of finished work *)
+
+let test_resume_from_cache () =
   with_dispatch_env (fun () ->
       let id = C.Experiment.Fig5 in
       let want = reference id in
-      let tasks = C.Experiment.tasks_for id in
-      let first = List.hd tasks in
-      (* Simulate a coordinator killed after recording one completion:
-         the journal holds the record, the cache may not hold the
-         artifact — resume must trust the record (skip the task) and
-         the render must absorb the miss in-process. *)
-      (match
-         C.Journal.open_run ~name:(D.journal_name id)
-           ~fingerprint:(D.journal_fingerprint ~scale id)
-       with
-      | Some (j, _) ->
-          C.Journal.append j ~step:(C.Experiment.task_id first) ~payload:"";
-          C.Journal.close j
-      | None -> Alcotest.fail "could not pre-seed the dispatch journal");
-      D.reset_stats ();
-      let got = dispatched ~workers:2 id in
-      let s = D.stats () in
-      Alcotest.(check int) "skipped exactly the seeded task" 1
-        s.D.skipped_journal;
-      Alcotest.(check int) "remaining tasks completed"
-        (List.length tasks - 1)
-        (s.D.completed + s.D.fallback);
-      Alcotest.(check int) "no double counts" 0 s.D.dup_results;
-      Alcotest.(check bool) "byte-identical" true (String.equal want got))
-
-let test_journal_consumed_after_run () =
-  with_dispatch_env (fun () ->
-      let id = C.Experiment.Fig6 in
-      ignore (dispatched ~workers:2 id);
-      (* A finished sweep leaves no journal behind: a second opener
-         starts clean (no recovered records). *)
-      match
-        C.Journal.open_run ~name:(D.journal_name id)
-          ~fingerprint:(D.journal_fingerprint ~scale id)
-      with
-      | Some (j, recovered) ->
-          C.Journal.finish j;
-          Alcotest.(check int) "no stale records" 0 (List.length recovered)
-      | None -> Alcotest.fail "journal left locked after the sweep")
+      (* An earlier in-process run, killed or not, left its artifacts
+         in the cache: that is everything a rerun resumes from. *)
+      D.set_workers (Some 0);
+      ignore (C.Report.run_to_string ~scale ~jobs:1 id);
+      C.Experiment.clear_cache ();
+      let module T = Repro_util.Telemetry in
+      let was = T.enabled () in
+      T.set_enabled true;
+      Fun.protect
+        ~finally:(fun () -> T.set_enabled was)
+        (fun () ->
+          let insts0 = T.counter "experiment.sim_insts"
+          and misses0 = T.counter "cache.misses"
+          and worker0 = T.counter "dispatch.worker_tasks" in
+          D.reset_stats ();
+          let got = dispatched ~workers:2 id in
+          (* The workers ship their counters home on exit. *)
+          D.shutdown ();
+          let ntasks = List.length (C.Experiment.tasks_for id) in
+          Alcotest.(check int) "every task acknowledged" ntasks
+            (D.stats ()).D.completed;
+          Alcotest.(check int) "worker counters absorbed" ntasks
+            (T.counter "dispatch.worker_tasks" - worker0);
+          Alcotest.(check int) "nothing simulated" 0
+            (T.counter "experiment.sim_insts" - insts0);
+          Alcotest.(check int) "no cache misses" 0
+            (T.counter "cache.misses" - misses0);
+          Alcotest.(check bool) "byte-identical" true (String.equal want got)))
 
 (* ------------------------------------------------------------------ *)
-(* Spawn faults: fallback still renders the same bytes *)
+(* Spawn faults: the render computes the sweep in-process *)
 
 let test_spawn_fault_fallback () =
   with_dispatch_env (fun () ->
@@ -278,7 +309,7 @@ let test_spawn_fault_fallback () =
       let s = D.stats () in
       Alcotest.(check bool) "spawn failures recorded" true
         (s.D.spawn_failures > 0);
-      Alcotest.(check int) "every task fell back in-process"
+      Alcotest.(check int) "every task left to the in-process render"
         (List.length (C.Experiment.tasks_for id))
         s.D.fallback;
       Alcotest.(check bool) "byte-identical" true (String.equal want got))
@@ -292,11 +323,12 @@ let () =
     [ ("identity", qcheck [ qcheck_identical ]);
       ("chaos",
        qcheck [ qcheck_kill9_identical; qcheck_lease_expiry_exactly_once ]);
+      ("pool",
+       [ Alcotest.test_case "degraded pool respawned for the next figure"
+           `Quick test_degraded_pool_respawned ]);
       ("resume",
-       [ Alcotest.test_case "journal replay skips recorded task" `Quick
-           test_journal_replay_skips;
-         Alcotest.test_case "journal consumed after a clean sweep" `Quick
-           test_journal_consumed_after_run ]);
+       [ Alcotest.test_case "sweep over a filled cache computes nothing"
+           `Quick test_resume_from_cache ]);
       ("fallback",
        [ Alcotest.test_case "all spawns fail: in-process fallback" `Quick
            test_spawn_fault_fallback ]) ]

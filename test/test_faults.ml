@@ -1,7 +1,6 @@
 (* Supervised execution under fault injection: the Faults registry
    itself, Engine retry/timeout/classification, crash-safe cache
-   recovery (torn writes, quarantine), the resume journal, and the
-   end-to-end property the whole layer exists for — a fault-torture
+   recovery (torn writes, quarantine), and the end-to-end property the whole layer exists for — a fault-torture
    run either completes with bit-identical tables or reports a
    structured, visible hole, never silently wrong data. *)
 
@@ -32,7 +31,6 @@ let with_temp_cache f =
   Fun.protect
     ~finally:(fun () ->
       C.Cache.clear ();
-      (try Sys.rmdir (Filename.concat dir "journal") with Sys_error _ -> ());
       (try Sys.rmdir dir with Sys_error _ -> ());
       C.Cache.set_dir was_dir;
       C.Cache.set_enabled was_enabled)
@@ -301,247 +299,6 @@ let qcheck_cache_truncation_never_wrong =
               | Some v -> v = [ 3; 1; 4; 1; 5 ] (* only the full entry decodes *))))
 
 (* ------------------------------------------------------------------ *)
-(* Resume journal *)
-
-let test_journal_roundtrip () =
-  protected (fun () ->
-      with_temp_cache (fun _dir ->
-          let records =
-            [ ("fig1", "plain"); ("fig2", "with\nnewline\x00and nul");
-              ("fig3", String.make 1000 '\xff') ]
-          in
-          (match C.Journal.open_run ~name:"t" ~fingerprint:"fp1" with
-          | None -> Alcotest.fail "journal unavailable"
-          | Some (j, recovered) ->
-              Alcotest.(check int) "fresh journal" 0 (List.length recovered);
-              List.iter
-                (fun (step, payload) -> C.Journal.append j ~step ~payload)
-                records;
-              C.Journal.close j);
-          (match C.Journal.open_run ~name:"t" ~fingerprint:"fp1" with
-          | None -> Alcotest.fail "journal unavailable on reopen"
-          | Some (j, recovered) ->
-              Alcotest.(check (list (pair string string)))
-                "every record back, in order" records recovered;
-              C.Journal.close j);
-          (* A different fingerprint must discard the whole file. *)
-          match C.Journal.open_run ~name:"t" ~fingerprint:"fp2" with
-          | None -> Alcotest.fail "journal unavailable on mismatch"
-          | Some (j, recovered) ->
-              Alcotest.(check int) "stale journal discarded" 0
-                (List.length recovered);
-              C.Journal.finish j))
-
-let test_journal_finish_deletes () =
-  protected (fun () ->
-      with_temp_cache (fun _dir ->
-          match C.Journal.open_run ~name:"t" ~fingerprint:"fp" with
-          | None -> Alcotest.fail "journal unavailable"
-          | Some (j, _) ->
-              C.Journal.append j ~step:"s" ~payload:"p";
-              let path = C.Journal.path j in
-              Alcotest.(check bool) "file exists" true (Sys.file_exists path);
-              C.Journal.finish j;
-              Alcotest.(check bool) "finish removes it" false
-                (Sys.file_exists path)))
-
-let test_journal_torn_tail_truncated () =
-  protected (fun () ->
-      with_temp_cache (fun _dir ->
-          (match C.Journal.open_run ~name:"t" ~fingerprint:"fp" with
-          | None -> Alcotest.fail "journal unavailable"
-          | Some (j, _) ->
-              C.Journal.append j ~step:"a" ~payload:"1";
-              C.Journal.append j ~step:"b" ~payload:"2";
-              (* Crash mid-append: half a record reaches the disk. *)
-              Faults.configure (Some "journal.torn:1.0:1");
-              C.Journal.append j ~step:"c" ~payload:"3";
-              Faults.configure None;
-              C.Journal.close j);
-          match C.Journal.open_run ~name:"t" ~fingerprint:"fp" with
-          | None -> Alcotest.fail "journal unavailable on reopen"
-          | Some (j, recovered) ->
-              Alcotest.(check (list (pair string string)))
-                "torn tail dropped, completed prefix kept"
-                [ ("a", "1"); ("b", "2") ]
-                recovered;
-              (* The truncation healed the file: appending works. *)
-              C.Journal.append j ~step:"c" ~payload:"3";
-              C.Journal.close j;
-              (match C.Journal.open_run ~name:"t" ~fingerprint:"fp" with
-              | Some (j, recovered) ->
-                  Alcotest.(check int) "append after heal" 3
-                    (List.length recovered);
-                  C.Journal.finish j
-              | None -> Alcotest.fail "journal unavailable after heal")))
-
-let test_journal_append_fault_drops_record () =
-  protected (fun () ->
-      with_temp_cache (fun _dir ->
-          (match C.Journal.open_run ~name:"t" ~fingerprint:"fp" with
-          | None -> Alcotest.fail "journal unavailable"
-          | Some (j, _) ->
-              Faults.configure (Some "journal.append:1.0:1");
-              C.Journal.append j ~step:"lost" ~payload:"x";
-              Faults.configure None;
-              C.Journal.append j ~step:"kept" ~payload:"y";
-              C.Journal.close j);
-          match C.Journal.open_run ~name:"t" ~fingerprint:"fp" with
-          | None -> Alcotest.fail "journal unavailable on reopen"
-          | Some (j, recovered) ->
-              Alcotest.(check (list (pair string string)))
-                "dropped append = that step reruns" [ ("kept", "y") ] recovered;
-              C.Journal.finish j))
-
-(* Cross-process journal-lock probes. [Unix.fork] is off the table —
-   OCaml 5 refuses it once any domain has been spawned, and earlier
-   tests in this binary run the Engine pool — so the second process
-   is this very test binary re-exec'd with RT_JOURNAL_PROBE set; the
-   probe runs at module-init time (see the [let ()] below) and
-   [_exit]s before alcotest ever starts. The verdict travels in the
-   exit status. *)
-let journal_probe ~mode ~dir =
-  let env =
-    Array.append (Unix.environment ())
-      [| "RT_JOURNAL_PROBE=" ^ mode; "RT_JOURNAL_DIR=" ^ dir |]
-  in
-  let pid =
-    Unix.create_process_env Sys.executable_name
-      [| Sys.executable_name |]
-      env Unix.stdin Unix.stdout Unix.stderr
-  in
-  match Unix.waitpid [] pid with
-  | _, Unix.WEXITED code -> code
-  | _ -> -1
-
-let () =
-  match (Sys.getenv_opt "RT_JOURNAL_PROBE", Sys.getenv_opt "RT_JOURNAL_DIR") with
-  | Some mode, Some dir ->
-      C.Cache.set_dir dir;
-      C.Cache.set_enabled true;
-      let verdict =
-        match mode with
-        | "excl" -> (
-            (* The lock holder is alive: this open must be refused. *)
-            match C.Journal.open_run ~name:"t" ~fingerprint:"fp" with
-            | None -> 0
-            | Some (j, _) ->
-                C.Journal.close j;
-                1)
-        | "takeover" -> (
-            (* The holder closed: take the journal over, recover its
-               record, append one of our own. *)
-            match C.Journal.open_run ~name:"t" ~fingerprint:"fp" with
-            | Some (j, [ ("a", "1") ]) ->
-                C.Journal.append j ~step:"b" ~payload:"2";
-                C.Journal.close j;
-                0
-            | Some (j, _) ->
-                C.Journal.close j;
-                1
-            | None -> 2)
-        | _ -> 3
-      in
-      Unix._exit verdict
-  | _ -> ()
-
-(* Mutual exclusion: a second process opening the same journal while
-   the first holds it must get [None] — not a torn file, not
-   interleaved records. (This test caught a real bug: the recovery
-   read used to re-open the journal path, and closing that second fd
-   dropped the process's fcntl lock — POSIX releases all of a
-   process's locks on a file when *any* fd for it is closed.) *)
-let test_journal_lock_excludes_second_process () =
-  protected (fun () ->
-      with_temp_cache (fun dir ->
-          match C.Journal.open_run ~name:"t" ~fingerprint:"fp" with
-          | None -> Alcotest.fail "journal unavailable"
-          | Some (j, _) ->
-              C.Journal.append j ~step:"parent" ~payload:"1";
-              (match journal_probe ~mode:"excl" ~dir with
-              | 0 -> ()
-              | 1 ->
-                  Alcotest.fail
-                    "second process acquired a journal another process holds"
-              | _ -> Alcotest.fail "lock-probe child died abnormally");
-              (* The refused opener left the journal intact. *)
-              C.Journal.append j ~step:"parent" ~payload:"2";
-              C.Journal.close j;
-              (match C.Journal.open_run ~name:"t" ~fingerprint:"fp" with
-              | Some (j, recovered) ->
-                  Alcotest.(check (list (pair string string)))
-                    "both parent records survive the refused opener"
-                    [ ("parent", "1"); ("parent", "2") ]
-                    recovered;
-                  C.Journal.finish j
-              | None -> Alcotest.fail "journal unavailable on reopen")))
-
-(* Lock release and cross-process durability: once the holder closes,
-   another process may take the journal over, and records either side
-   fsynced are visible to the other. This is the coordinator hand-off
-   that resumable dispatch relies on. *)
-let test_journal_lock_released_on_close () =
-  protected (fun () ->
-      with_temp_cache (fun dir ->
-          (match C.Journal.open_run ~name:"t" ~fingerprint:"fp" with
-          | None -> Alcotest.fail "journal unavailable"
-          | Some (j, _) ->
-              C.Journal.append j ~step:"a" ~payload:"1";
-              C.Journal.close j);
-          (match journal_probe ~mode:"takeover" ~dir with
-          | 0 -> ()
-          | 1 -> Alcotest.fail "child recovered the wrong records"
-          | 2 -> Alcotest.fail "closed journal still refused the child"
-          | _ -> Alcotest.fail "takeover child died abnormally");
-          match C.Journal.open_run ~name:"t" ~fingerprint:"fp" with
-          | Some (j, recovered) ->
-              Alcotest.(check (list (pair string string)))
-                "records from both processes, in order"
-                [ ("a", "1"); ("b", "2") ]
-                recovered;
-              C.Journal.finish j
-          | None -> Alcotest.fail "journal unavailable after takeover"))
-
-let qcheck_journal_truncation_prefix =
-  QCheck.Test.make
-    ~name:"journal: any byte-level truncation recovers a record prefix"
-    ~count:40
-    QCheck.(int_range 0 600)
-    (fun cut ->
-      protected (fun () ->
-          with_temp_cache (fun _dir ->
-              let records =
-                List.init 5 (fun i ->
-                    (Printf.sprintf "step%d" i, String.make (17 * (i + 1)) 'q'))
-              in
-              (match C.Journal.open_run ~name:"t" ~fingerprint:"fp" with
-              | None -> QCheck.assume_fail ()
-              | Some (j, _) ->
-                  List.iter
-                    (fun (step, payload) -> C.Journal.append j ~step ~payload)
-                    records;
-                  C.Journal.close j);
-              let path =
-                Filename.concat (Filename.concat (C.Cache.dir ()) "journal")
-                  "t.journal"
-              in
-              let full = In_channel.with_open_bin path In_channel.input_all in
-              let cut = min cut (String.length full) in
-              Out_channel.with_open_bin path (fun oc ->
-                  Out_channel.output_string oc (String.sub full 0 cut));
-              match C.Journal.open_run ~name:"t" ~fingerprint:"fp" with
-              | None -> QCheck.assume_fail ()
-              | Some (j, recovered) ->
-                  C.Journal.finish j;
-                  let rec is_prefix r full =
-                    match (r, full) with
-                    | [], _ -> true
-                    | a :: rt, b :: ft -> a = b && is_prefix rt ft
-                    | _ :: _, [] -> false
-                  in
-                  is_prefix recovered records)))
-
-(* ------------------------------------------------------------------ *)
 (* End to end: experiments under fault torture *)
 
 let scale = 0.02
@@ -689,19 +446,6 @@ let () =
           Alcotest.test_case "handcrafted corruption" `Quick
             test_cache_handcrafted_corruption ]
         @ Qseed.all [ qcheck_cache_truncation_never_wrong ] );
-      ( "journal",
-        [ Alcotest.test_case "roundtrip + fingerprint" `Quick
-            test_journal_roundtrip;
-          Alcotest.test_case "finish deletes" `Quick test_journal_finish_deletes;
-          Alcotest.test_case "torn tail truncated" `Quick
-            test_journal_torn_tail_truncated;
-          Alcotest.test_case "dropped append" `Quick
-            test_journal_append_fault_drops_record;
-          Alcotest.test_case "lock excludes a second process" `Quick
-            test_journal_lock_excludes_second_process;
-          Alcotest.test_case "lock released on close" `Quick
-            test_journal_lock_released_on_close ]
-        @ Qseed.all [ qcheck_journal_truncation_prefix ] );
       ( "end-to-end",
         [ Alcotest.test_case "faulted run bit-identical" `Slow
             test_e2e_faulted_run_identical;
