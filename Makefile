@@ -9,7 +9,7 @@ DUNE ?= dune
 BENCH = _build/default/bench/main.exe
 CLI = _build/default/bin/repro_cli.exe
 
-.PHONY: all build test smoke bench bench-json ci ci-faults ci-serve ci-dist clean cache-clear loc
+.PHONY: all build test smoke bench bench-json ci ci-faults ci-dist clean cache-clear loc
 
 all: build
 
@@ -45,7 +45,7 @@ bench-json: build
 # Full CI gate: build everything, run the whole test suite (golden,
 # qcheck differential, packed-replay and fused-sweep tests included),
 # then regenerate BENCH_results.json over the trace-sweep figures and
-# validate the emitted schema (v13; every figure replays the packed
+# validate the emitted schema (v14; every figure replays the packed
 # capture, so the file carries no stream-vs-replay probe).
 # fig8p adds the learned block (lru_mpki / preuse_mpki /
 # crossover_size) to the file.
@@ -58,12 +58,11 @@ ci: build
 	test -s BENCH_results.json
 	$(BENCH) --check-json BENCH_results.json
 	$(MAKE) ci-faults
-	$(MAKE) ci-serve
 	$(MAKE) ci-dist
 
 # Fault-torture gate: the tier-1 suite plus a bench sweep with every
 # fault site firing at 5% (seed 42). Supervision must absorb the
-# injected failures — the run completes, emits schema-v13 JSON that
+# injected failures — the run completes, emits schema-v14 JSON that
 # validates, and the injected-fault counter in the engine footer
 # proves the sites actually fired. The fresh cache directory also
 # exercises quarantine and torn-write recovery end to end.
@@ -76,23 +75,6 @@ ci-faults: build
 	test -s BENCH_faults.json
 	$(BENCH) --check-json BENCH_faults.json
 	rm -rf _faults_cache BENCH_faults.json
-
-# Daemon gate: drive an in-process characterization server with a
-# short closed-loop load test over a fresh cache — 4 concurrent
-# clients, a zero-downtime reload at the halfway mark — and validate
-# the emitted serve block (p50/p90/p99 latency, throughput,
-# update_lag_ms). --expect-serve makes a missing serve run an error,
-# and the check fails unless every concurrent response was
-# byte-identical to the one-shot renderings.
-ci-serve: build
-	rm -rf _serve_cache BENCH_serve.json
-	REPRO_SCALE=0.05 REPRO_CACHE_DIR=_serve_cache \
-	  $(BENCH) \
-	    --serve-bench --serve-clients 4 --serve-requests 40 -j 1 \
-	    --json BENCH_serve.json
-	test -s BENCH_serve.json
-	$(BENCH) --check-json BENCH_serve.json --expect-serve
-	rm -rf _serve_cache BENCH_serve.json
 
 # Distributed gate, two runs over fresh caches. Run 1, undisturbed:
 # sweep figures at --workers 4; the distributed block must
@@ -128,10 +110,10 @@ ci-dist: build
 
 clean:
 	$(DUNE) clean
-	rm -rf _cache _smoke_cache _faults_cache _serve_cache \
+	rm -rf _cache _smoke_cache _faults_cache \
 	  _dist_cache _dist_probe_cache.* \
 	  _dispatch_test_cache_* \
-	  BENCH_faults.json BENCH_serve.json BENCH_dist.json
+	  BENCH_faults.json BENCH_dist.json
 
 cache-clear: build
 	$(CLI) cache clear

@@ -2,8 +2,8 @@
 # Replays every case in fixtures/cases through `--check-json` and fails
 # when a validator exit code differs from the recorded one. Each
 # rejected fixture breaks exactly one gate; the accepted ones are the
-# plain, serve and dist shapes plus the runs where the dist_speedup
-# floor does not apply.
+# plain and dist shapes plus the runs where the dist_speedup floor
+# does not apply.
 #
 #   sh check_fixtures.sh ./main.exe      (from the bench directory)
 #

@@ -1,11 +1,10 @@
 (* Benchmark harness: regenerates the paper's tables and figures
    (every id of Repro_core.Experiment, or the ones named on the command
-   line), then the extension studies and the Bechamel
-   microbenchmarks. `--json FILE` also writes the measurements as
-   schema-v13 JSON, `--check-json FILE` validates such a file, and
-   `--serve-bench` load-tests the characterization daemon instead.
-   The flags and their usage text live in one table ([flags]); so do
-   the JSON fields, their gates and their sources ([schema]).
+   line), then the extension studies. `--json FILE` also writes the
+   measurements as schema-v14 JSON and `--check-json FILE` validates
+   such a file. The flags and their usage text live in one table
+   ([flags]); so do the JSON fields, their gates and their sources
+   ([schema]).
 
      REPRO_SCALE=0.05 dune exec bench/main.exe -- fig1 --json F
      dune exec bench/main.exe -- --check-json F --expect-dist
@@ -45,7 +44,6 @@ type measurement = {
   m_ok : int; (* engine task outcomes, deltas over this experiment *)
   m_retried : int;
   m_failed : int;
-  m_timed_out : int;
   m_faults : int; (* injected faults that fired during this experiment *)
   m_seq_ms : float option; (* uncached -j1 probe, jobs > 1 only *)
   m_par_ms : float option; (* uncached -jN probe, jobs > 1 only *)
@@ -207,7 +205,6 @@ let run_experiment ~measure id =
         m_ok = s1.tasks_run - stats0.tasks_run;
         m_retried = s1.tasks_retried - stats0.tasks_retried;
         m_failed = s1.tasks_failed - stats0.tasks_failed;
-        m_timed_out = s1.tasks_timed_out - stats0.tasks_timed_out;
         m_faults = Repro_util.Faults.injected () - faults0;
         m_seq_ms = seq_ms;
         m_par_ms = par_ms;
@@ -242,10 +239,10 @@ let extension_study () =
    required; null always means "did not run here", never "ran and
    measured zero". *)
 
-let schema_version = 13
+let schema_version = 14
 
-(* What `--check-json` knows besides the file: the --expect-* flags. *)
-type ctx = { doc : J.t; expects : string list }
+(* What `--check-json` knows besides the file: the --expect-dist flag. *)
+type ctx = { doc : J.t; expect_dist : bool }
 
 type nulls =
   | Never
@@ -313,35 +310,6 @@ let among ss =
   bound (String.concat "|" ss) (function
     | J.Str s -> List.mem s ss
     | _ -> false)
-
-let expected flag =
-  Null_unless (flag ^ " was given", fun c -> List.mem flag c.expects)
-
-(* The serve block (--serve-bench): a daemon that serves even one
-   response different from the one-shot rendering fails the file. *)
-let serve_fields =
-  let open Serve_load in
-  [ field Num "clients" (fun s -> int s.sr_clients);
-    field Str "mode"
-      (fun s -> J.Str s.sr_mode)
-      ~gates:[ among [ "closed"; "open" ] ];
-    field Num "requests" (fun s -> int s.sr_requests);
-    field Num "wall_ms" (fun s -> float s.sr_wall_ms);
-    field Num "throughput_rps" (fun s -> float s.sr_throughput);
-    field Count "p50_ms" (fun s -> float s.sr_p50);
-    field Count "p90_ms" (fun s -> float s.sr_p90);
-    field Count "p99_ms"
-      (fun s -> float s.sr_p99)
-      ~gates:
-        [ (fun _ serve v ->
-            let p50 = num_at serve [ "p50_ms" ] in
-            if num v >= p50 then None
-            else Some (Printf.sprintf "%g < p50_ms %g" (num v) p50)) ];
-    field Count "update_lag_ms" (fun s -> float s.sr_update_lag_ms);
-    field Num "errors" (fun s -> int s.sr_errors) ~gates:[ at_most 0.0 ];
-    field Bool "responses_identical"
-      (fun s -> J.Bool s.sr_identical)
-      ~gates:[ is_true ] ]
 
 (* The learned block: fig8p's headline in numbers. *)
 let learned_fields =
@@ -442,7 +410,6 @@ let row_fields =
     field Num "tasks_ok" (count (fun m -> m.m_ok));
     field Num "tasks_retried" (count (fun m -> m.m_retried));
     field Num "tasks_failed" (count (fun m -> m.m_failed));
-    field Num "tasks_timed_out" (count (fun m -> m.m_timed_out));
     field Num "faults_injected" (count (fun m -> m.m_faults));
     seq "seq_ms" (fun m -> opt m.m_seq_ms);
     seq "par_ms" (fun m -> opt m.m_par_ms);
@@ -454,7 +421,6 @@ let row_fields =
     dist "dist_speedup" ~gates:[ dist_floor ] (fun m -> opt m.m_dist_speedup) ]
 
 type run = {
-  serve : Serve_load.result option;
   learned : E.learned option;
   measurements : measurement list;
 }
@@ -480,13 +446,13 @@ let schema =
     field Str "faults" ~nulls:Nullable (fun _ ->
         Option.fold ~none:J.Null ~some:(fun s -> J.Str s)
           (Repro_util.Faults.spec ()));
-    block ~nulls:(expected "--expect-serve") "serve" serve_fields (fun r ->
-        r.serve);
     block
       ~nulls:(Null_unless ("an ok fig8p row is recorded", fig8p_ok))
       "learned" learned_fields
       (fun r -> r.learned);
-    block ~nulls:(expected "--expect-dist") "distributed" distributed_fields
+    block
+      ~nulls:(Null_unless ("--expect-dist was given", fun c -> c.expect_dist))
+      "distributed" distributed_fields
       (fun _ -> if !dist_probed = 0 then None else Some (D.stats ()));
     field (Rows row_fields) "experiments" (fun r ->
         J.Arr (List.map (emit row_fields) r.measurements)) ]
@@ -501,7 +467,7 @@ let emit_json path run =
 
 (* Exit 1 on the first field that is missing, of the wrong kind, null
    where its rule forbids it, or outside a gate. *)
-let check_json ~expects path =
+let check_json ~expect_dist path =
   let fail fmt =
     Printf.ksprintf
       (fun msg ->
@@ -515,7 +481,7 @@ let check_json ~expects path =
     | Error e -> fail "malformed JSON (%s)" e
     | exception Sys_error e -> fail "cannot read: %s" e
   in
-  let ctx = { doc; expects } in
+  let ctx = { doc; expect_dist } in
   let rec check : 'b. string -> 'b field list -> J.t -> unit =
    fun prefix fields obj ->
     List.iter
@@ -561,23 +527,15 @@ let check_json ~expects path =
 
 (* ------------------------------------------------------------------ *)
 (* Flags: one table gives each flag's names, its argument and its line
-   of usage text. A malformed integer or rate warns on stderr and
-   keeps the default (an out-of-range integer is clamped), matching
+   of usage text. A malformed integer warns on stderr and keeps the
+   default (an out-of-range integer is clamped), matching
    the REPRO_JOBS convention — a typo degrades a knob, it does not
-   kill a run that may be hours in. A missing value or a bad
-   -j/--serve-mode is a usage error (exit 2). *)
+   kill a run that may be hours in. A missing value or a bad -j is a
+   usage error (exit 2). *)
 
 let json_out = ref None
 let check_file = ref None
-let expects = ref []
-let serve_req = ref None
-
-(* Any serve flag switches the harness into load-generator mode. *)
-let set_serve f =
-  let cfg = Option.value !serve_req ~default:Serve_load.default_cfg in
-  serve_req := Some (f cfg)
-
-let expect flag () = expects := flag :: !expects
+let expect_dist = ref false
 
 type arg = Switch of (unit -> unit) | Value of string * (string -> unit)
 
@@ -597,10 +555,7 @@ let int_flag name ~lo ~hi help apply =
              keeping the default\n%!"
             name n lo hi)
 
-let serve_flag name ~lo ~hi help set =
-  int_flag name ~lo ~hi help (fun v -> set_serve (fun c -> set c v))
-
-let extras = [ "micro"; "extension" ]
+let extras = [ "extension" ]
 
 let rec flags =
   lazy
@@ -617,9 +572,6 @@ let rec flags =
       int_flag "--retry" ~lo:0 ~hi:10
         "retry budget for transient task failures (default 2)"
         C.Engine.set_retries;
-      int_flag "--timeout-ms" ~lo:1 ~hi:max_int
-        "per-task deadline (default off; trades reproducibility)" (fun v ->
-          C.Engine.set_timeout_ms (Some v));
       (* Faults.configure warns once per malformed entry itself. *)
       value [ "--faults" ] "SPEC" "inject faults, e.g. all:0.05:42" (fun s ->
           Repro_util.Faults.configure (Some s));
@@ -627,36 +579,13 @@ let rec flags =
           json_out := Some f);
       value [ "--check-json" ] "FILE" "validate an emitted file (exit 1 if not)"
         (fun f -> check_file := Some f);
-      switch [ "--expect-serve" ] "with --check-json: require a serve run"
-        (expect "--expect-serve");
       switch [ "--expect-dist" ] "with --check-json: require a --workers probe"
-        (expect "--expect-dist");
+        (fun () -> expect_dist := true);
       int_flag "--workers" ~lo:0 ~hi:64
         "probe each experiment sharded over N worker processes"
         (( := ) dist_workers);
       switch [ "--dist-kill" ] "SIGKILL one worker mid-probe" (fun () ->
-          dist_kill := true);
-      switch [ "--serve-bench" ] "load-test an in-process daemon instead"
-        (fun () -> set_serve Fun.id);
-      serve_flag "--serve-clients" ~lo:1 ~hi:16 "concurrent clients (default 4)"
-        (fun c v -> { c with sb_clients = v });
-      serve_flag "--serve-requests" ~lo:1 ~hi:100_000
-        "total requests (default 40)" (fun c v -> { c with sb_requests = v });
-      value [ "--serve-mode" ] "closed|open"
-        "back-to-back clients, or arrivals on a fixed schedule" (function
-        | "closed" -> set_serve (fun c -> { c with sb_mode = `Closed })
-        | "open" -> set_serve (fun c -> { c with sb_mode = `Open })
-        | m -> usage_error "bad --serve-mode %S (want closed or open)" m);
-      value [ "--serve-rps" ] "R" "open-loop arrival rate (default 50)"
-        (fun r ->
-          match float_of_string_opt r with
-          | Some v when Float.is_finite v && v > 0.0 ->
-              set_serve (fun c -> { c with sb_rps = v })
-          | _ ->
-              Printf.eprintf
-                "bench: ignoring invalid --serve-rps %S (want a positive \
-                 rate); keeping the default\n%!"
-                r) ]
+          dist_kill := true) ]
 
 and usage_error : 'a 'b. ('a, unit, string, 'b) format4 -> 'a =
  fun fmt ->
@@ -703,25 +632,12 @@ let () =
   let args = parse_flags (List.tl (Array.to_list Sys.argv)) in
   Option.iter
     (fun path ->
-      check_json ~expects:!expects path;
+      check_json ~expect_dist:!expect_dist path;
       exit 0)
     !check_file;
   (* The JSON emitter needs the sim-insts counter, so recording is
      switched on; the span tree is only printed under REPRO_TRACE. *)
   if !json_out <> None then T.set_enabled true;
-  Option.iter
-    (fun cfg ->
-      (* Load-generator mode: drive the daemon instead of regenerating
-         experiments; the file still carries the full schema. *)
-      let result = Serve_load.run ~scale ~jobs:!jobs cfg in
-      Option.iter
-        (fun path ->
-          emit_json path
-            { serve = Some result; learned = None; measurements = [] })
-        !json_out;
-      if T.env_trace then prerr_string (T.report ());
-      exit (if result.Serve_load.sr_identical then 0 else 1))
-    !serve_req;
   let ids =
     match List.filter (fun a -> not (List.mem a extras)) args with
     | [] -> if args = [] then E.all else []
@@ -752,22 +668,18 @@ let () =
        misses%s%s)\n\n"
       s.tasks_run s.max_domains s.cache_hits s.cache_misses
       (if C.Cache.enabled () then "" else " [disabled]")
-      (if s.tasks_retried + s.tasks_failed + s.tasks_timed_out + faults = 0
-       then ""
+      (if s.tasks_retried + s.tasks_failed + faults = 0 then ""
        else
-         Printf.sprintf
-           ", supervision: %d retried, %d failed, %d timed out, %d faults \
-            injected"
-           s.tasks_retried s.tasks_failed s.tasks_timed_out faults)
+         Printf.sprintf ", supervision: %d retried, %d failed, %d faults injected"
+           s.tasks_retried s.tasks_failed faults)
   end;
   Option.iter
     (fun path ->
       let learned =
         if List.mem E.Fig8p ids then E.learned ~jobs:!jobs ~scale () else None
       in
-      emit_json path { serve = None; learned; measurements = rows })
+      emit_json path { learned; measurements = rows })
     !json_out;
   let wants x = args = [] || List.mem x args in
   if wants "extension" then extension_study ();
-  if wants "micro" then Micro.run ();
   if T.env_trace then prerr_string (T.report ())

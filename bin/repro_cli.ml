@@ -69,14 +69,6 @@ let retry_arg =
   in
   Arg.(value & opt (some int) None & info [ "retry" ] ~docv:"N" ~doc)
 
-let timeout_arg =
-  let doc =
-    "Per-task cooperative deadline in milliseconds (default: none). An \
-     attempt that overran is discarded when it returns, so enabling this \
-     trades bit-reproducibility for bounded damage."
-  in
-  Arg.(value & opt (some int) None & info [ "timeout-ms" ] ~docv:"MS" ~doc)
-
 let dispatch_workers_arg =
   let doc =
     "Shard each experiment's task space across $(docv) worker processes \
@@ -87,7 +79,7 @@ let dispatch_workers_arg =
   in
   Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N" ~doc)
 
-let apply_engine_flags trace jobs no_cache strict faults retry timeout =
+let apply_engine_flags trace jobs no_cache strict faults retry =
   if trace then Repro_util.Telemetry.set_enabled true;
   if no_cache then Repro_core.Cache.set_enabled false;
   if strict then Repro_core.Experiment.set_strict true;
@@ -97,22 +89,20 @@ let apply_engine_flags trace jobs no_cache strict faults retry timeout =
   (match retry with
   | Some r -> Repro_core.Engine.set_retries r
   | None -> ());
-  (match timeout with
-  | Some t -> Repro_core.Engine.set_timeout_ms (Some t)
-  | None -> ());
   match jobs with
   | Some j when j > 0 -> Repro_core.Engine.set_default_jobs j
   | Some _ | None -> ()
 
 (* One shared term: every experiment-running subcommand accepts the
    same engine/supervision knobs and applies them the same way.
-   [engine_flags_base] omits the dispatch [--workers] option — the
-   serve subcommand needs that spelling free for its deprecated
-   worker-domain alias. *)
+   [engine_flags_base] omits the dispatch [--workers] option: [serve]
+   and [worker] use it, so [serve --workers N] is an unknown-option
+   error rather than a request for dispatch workers (the daemon's
+   domain count is [--serve-workers]). *)
 let engine_flags_base =
   Term.(
     const apply_engine_flags $ trace_arg $ jobs_arg $ no_cache_arg
-    $ strict_arg $ faults_arg $ retry_arg $ timeout_arg)
+    $ strict_arg $ faults_arg $ retry_arg)
 
 let engine_flags =
   Term.(
@@ -246,46 +236,21 @@ let experiments_md_cmd =
 
 let serve_cmd =
   let socket_arg =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt string "_serve.sock"
          & info [ "socket" ] ~docv:"PATH"
-             ~doc:"Unix-domain socket path to listen on (default \
-                   $(b,_serve.sock) when --tcp is not given; a stale \
-                   socket file is replaced)")
-  in
-  let tcp_arg =
-    Arg.(value & opt (some int) None
-         & info [ "tcp" ] ~docv:"PORT"
-             ~doc:"Also listen on this loopback TCP port ($(b,0) lets \
-                   the kernel pick; the chosen port is printed)")
+             ~doc:"Unix-domain socket path to listen on (a stale socket \
+                   file is replaced)")
   in
   let serve_workers_arg =
-    Arg.(value & opt (some int) None
+    Arg.(value & opt int 4
          & info [ "serve-workers" ] ~docv:"N"
-             ~doc:"Accept/serve worker domains (default 4, clamped to \
-                   1..16); bounds concurrently served clients")
+             ~doc:"Accept/serve worker domains (clamped to 1..16); bounds \
+                   concurrently served clients")
   in
-  (* The option was called --workers until that spelling was claimed
-     by the dispatch layer (process sharding, a different axis); the
-     old name keeps working with a warn-once nudge. *)
-  let legacy_workers_arg =
-    Arg.(value & opt (some int) None
-         & info [ "workers" ] ~docv:"N"
-             ~doc:"Deprecated alias for $(b,--serve-workers)")
-  in
-  let run scale () socket tcp serve_workers legacy_workers =
-    let workers =
-      match (serve_workers, legacy_workers) with
-      | Some n, _ -> n
-      | None, Some n ->
-          Repro_util.Env.warn_once "serve:--workers"
-            "frontend-repro serve: --workers is deprecated (it now names \
-             dispatch process sharding elsewhere); use --serve-workers";
-          n
-      | None, None -> 4
-    in
+  let run scale () socket workers =
     let module Server = Repro_core.Server in
     let cfg = { (Server.current_config ()) with Server.scale } in
-    let t = Server.start ~config:cfg ?socket ?tcp ~workers () in
+    let t = Server.start ~config:cfg ~socket ~workers () in
     (* Signal handlers only set flags; the reload itself runs on the
        main domain inside [wait]'s tick, where taking locks is safe. *)
     let hup = Atomic.make false in
@@ -296,18 +261,11 @@ let serve_cmd =
       [ (Sys.sighup, Sys.Signal_handle (fun _ -> Atomic.set hup true));
         (Sys.sigint, on_signal_stop);
         (Sys.sigterm, on_signal_stop) ];
-    let endpoints =
-      (match Server.sock_path t with Some p -> [ "unix:" ^ p ] | None -> [])
-      @ (match Server.tcp_port t with
-        | Some p -> [ Printf.sprintf "tcp:127.0.0.1:%d" p ]
-        | None -> [])
-    in
     Printf.printf
-      "frontend-repro serve: listening on %s (%d workers, scale %g)\n\
+      "frontend-repro serve: listening on unix:%s (%d workers, scale %g)\n\
        SIGHUP reloads the REPRO_* environment; SIGTERM/SIGINT or a \
        shutdown op stops\n%!"
-      (String.concat " and " endpoints)
-      workers scale;
+      (Server.sock_path t) workers scale;
     Server.wait
       ~on_tick:(fun () ->
         if Atomic.exchange hup false then begin
@@ -326,8 +284,8 @@ let serve_cmd =
           answering concurrent experiment/report/stats requests over a \
           length-framed JSON protocol, with zero-downtime configuration \
           reload")
-    Term.(const run $ scale_arg $ engine_flags_base $ socket_arg $ tcp_arg
-          $ serve_workers_arg $ legacy_workers_arg)
+    Term.(const run $ scale_arg $ engine_flags_base $ socket_arg
+          $ serve_workers_arg)
 
 (* ------------------------------------------------------------------ *)
 

@@ -104,7 +104,7 @@ let reset_stats () =
    visible in its own stderr telemetry report instead. *)
 let exported_counters =
   [ "experiment.sim_insts"; "engine.tasks_ok"; "engine.tasks_retried";
-    "engine.tasks_failed"; "engine.tasks_timed_out"; "engine.busy_ns";
+    "engine.tasks_failed"; "engine.busy_ns";
     "cache.hits"; "cache.misses"; "cache.read_bytes"; "cache.write_bytes";
     "cache.quarantined"; "faults.injected"; "experiment.holes";
     "experiment.capture_fallbacks"; "experiment.captures";
@@ -317,11 +317,25 @@ let new_pool n =
   pool_ref := Some pool;
   pool
 
+(* [w_alive] turns false only when a sweep reads a member's EOF, so a
+   member that died between sweeps still reads as alive. Ask the
+   process itself: exited, or already reaped by someone else (ECHILD). *)
+let exited w =
+  match Unix.waitpid [ Unix.WNOHANG ] w.w_pid with
+  | 0, _ -> false
+  | _ -> true
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> true
+  | exception Unix.Unix_error _ -> false
+
 (* Reuse the live pool only when its world still matches: the same
    cache directory (the workers inherited it at exec time) and exactly
    [n] live members. A pool that lost a member, or was spawned for
    another size, is replaced whole. *)
 let ensure_pool n =
+  Option.iter
+    (fun pool ->
+      List.iter (fun w -> if w.w_alive && exited w then retire w) pool.members)
+    !pool_ref;
   match !pool_ref with
   | Some pool
     when String.equal pool.p_cache_dir (Cache.dir ())

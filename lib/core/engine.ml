@@ -6,7 +6,6 @@ type stats = {
   cache_misses : int;
   tasks_retried : int;
   tasks_failed : int;
-  tasks_timed_out : int;
 }
 
 let tasks_run = Atomic.make 0
@@ -16,7 +15,6 @@ let cache_hits = Atomic.make 0
 let cache_misses = Atomic.make 0
 let tasks_retried = Atomic.make 0
 let tasks_failed = Atomic.make 0
-let tasks_timed_out = Atomic.make 0
 
 let stats () =
   { tasks_run = Atomic.get tasks_run;
@@ -25,8 +23,7 @@ let stats () =
     cache_hits = Atomic.get cache_hits;
     cache_misses = Atomic.get cache_misses;
     tasks_retried = Atomic.get tasks_retried;
-    tasks_failed = Atomic.get tasks_failed;
-    tasks_timed_out = Atomic.get tasks_timed_out }
+    tasks_failed = Atomic.get tasks_failed }
 
 let reset_stats () =
   Atomic.set tasks_run 0;
@@ -35,8 +32,7 @@ let reset_stats () =
   Atomic.set cache_hits 0;
   Atomic.set cache_misses 0;
   Atomic.set tasks_retried 0;
-  Atomic.set tasks_failed 0;
-  Atomic.set tasks_timed_out 0
+  Atomic.set tasks_failed 0
 
 let note_cache_hit () = Atomic.incr cache_hits
 let note_cache_miss () = Atomic.incr cache_misses
@@ -75,22 +71,15 @@ module Faults = Repro_util.Faults
 (* ------------------------------------------------------------------ *)
 (* Supervision policy *)
 
-type policy = { retries : int; backoff_ms : float; timeout_ms : int option }
+type policy = { retries : int; backoff_ms : float }
 
 let clamp_retries r = max 0 (min 10 r)
-let clamp_timeout = Option.map (fun t -> max 1 t)
 
 let default_retries = ref 2
 let set_retries r = default_retries := clamp_retries r
 let retries () = !default_retries
 
-let default_timeout : int option ref = ref None
-let set_timeout_ms t = default_timeout := clamp_timeout t
-let timeout_ms () = !default_timeout
-
-let default_policy () =
-  { retries = !default_retries; backoff_ms = 1.0;
-    timeout_ms = !default_timeout }
+let default_policy () = { retries = !default_retries; backoff_ms = 1.0 }
 
 (* Exponential backoff between retry attempts: base, 2x, 4x ...
    capped at 100ms so a fault storm cannot stall a batch for long. *)
@@ -120,36 +109,18 @@ let timed_task task =
           task)
 
 (* Run one task under the policy: transient failures are retried
-   with exponential backoff, everything else fails on first raise.
-   Deadlines are monotonic and checked per attempt when the attempt
-   returns — OCaml domains cannot be preempted, so an attempt that
-   overran is detected (and its result discarded deterministically)
-   rather than interrupted; a [timeout_ms] bounds damage from slow
-   tasks, it cannot unstick a livelocked one. *)
+   with exponential backoff, everything else fails on first raise. *)
 let run_task policy task =
   let attempts = policy.retries + 1 in
   let rec go attempt =
-    let t0 = Telemetry.now_ns () in
     match
       Faults.inject "engine.task";
       timed_task task
     with
-    | v -> (
-        match policy.timeout_ms with
-        | Some lim
-          when Int64.to_float (Int64.sub (Telemetry.now_ns ()) t0) /. 1e6
-               > float_of_int lim ->
-            Atomic.incr tasks_timed_out;
-            Telemetry.incr "engine.tasks_timed_out";
-            let fl =
-              Failure.v ~site:"engine.task" ~attempts:attempt Failure.Timeout
-                (Printf.sprintf "exceeded the %dms deadline" lim)
-            in
-            Failed (fl, Failure.Error fl)
-        | _ ->
-            Atomic.incr tasks_run;
-            Telemetry.incr "engine.tasks_ok";
-            Value v)
+    | v ->
+        Atomic.incr tasks_run;
+        Telemetry.incr "engine.tasks_ok";
+        Value v
     | exception e ->
         (* Non-capturable exceptions are still parked in the slot so
            every domain gets joined; [run_many] re-raises them after
@@ -288,9 +259,7 @@ let map_result ?jobs ?policy ?(fail_fast = false) f items =
   let jobs = clamp_jobs (match jobs with Some j -> j | None -> default_jobs ()) in
   let policy =
     match policy with
-    | Some p ->
-        { p with retries = clamp_retries p.retries;
-                 timeout_ms = clamp_timeout p.timeout_ms }
+    | Some p -> { p with retries = clamp_retries p.retries }
     | None -> default_policy ()
   in
   let results =

@@ -1,8 +1,8 @@
 (** Multicore experiment engine: a [Domain]-based pool that shards
     independent per-benchmark tasks across cores, with supervised
     execution on top — per-task retry with exponential backoff for
-    transient failures, monotonic-deadline timeouts, and a
-    structured-result map for callers that degrade instead of abort.
+    transient failures, and a structured-result map for callers that
+    degrade instead of abort.
 
     Tasks must be self-contained (each benchmark's trace generator is
     reseeded from its profile), so a parallel run produces results
@@ -22,7 +22,7 @@
     buffers in a finalizer, so partial spans survive a failing
     sibling task; the buffers are merged at join), an
     [engine.busy_ns] counter, outcome counters
-    ([engine.tasks_ok/retried/failed/timed_out]), and an
+    ([engine.tasks_ok/retried/failed]), and an
     [engine.utilization] gauge (busy-time / elapsed x domains). With
     telemetry disabled none of this costs anything and results are
     byte-identical. *)
@@ -35,7 +35,6 @@ type stats = {
   cache_misses : int;  (** persistent-cache lookups that recomputed *)
   tasks_retried : int;  (** retry attempts made on transient failures *)
   tasks_failed : int;  (** tasks that failed after their retry budget *)
-  tasks_timed_out : int;  (** tasks whose attempt overran its deadline *)
 }
 
 val default_jobs : unit -> int
@@ -58,28 +57,16 @@ val set_default_jobs : int -> unit
 type policy = {
   retries : int;  (** extra attempts for [Transient]-classed failures *)
   backoff_ms : float;  (** backoff base: base, 2x, 4x ... capped at 100ms *)
-  timeout_ms : int option;  (** per-attempt monotonic deadline *)
 }
 
 val default_policy : unit -> policy
 (** The process-wide policy used when [?policy] is omitted:
-    [retries] from {!set_retries} (default 2), 1ms backoff base,
-    [timeout_ms] from {!set_timeout_ms} (default none). *)
+    [retries] from {!set_retries} (default 2), 1ms backoff base. *)
 
 val retries : unit -> int
 val set_retries : int -> unit
-(** Clamped to [0..10]; wired to the bench harness [--retry] flag. *)
-
-val timeout_ms : unit -> int option
-val set_timeout_ms : int option -> unit
-(** Clamped to [>= 1] ms; wired to [--timeout-ms]. Deadlines are
-    cooperative: OCaml domains cannot be preempted, so an attempt
-    that overran is detected when it returns and its result is
-    discarded (classed [Timeout], never retried) — a timeout bounds
-    the damage of slow tasks, it cannot unstick a livelocked one.
-    Note that discarding an overrunning result makes output depend
-    on wall time; leave timeouts off when bit-reproducibility
-    matters. *)
+(** Clamped to [0..10]; wired to the [--retry] flag of the CLI and
+    bench harness. *)
 
 (** {1 Mapping} *)
 
@@ -93,8 +80,7 @@ val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
     {!default_policy} before counting as failures. If a task still
     fails, every worker stops taking new tasks, all domains are
     joined, and the first (lowest-index) original exception is
-    re-raised in the caller; a deadline overrun raises
-    {!Failure.Error} with class [Timeout]. *)
+    re-raised in the caller. *)
 
 val map_result :
   ?jobs:int ->

@@ -1,4 +1,4 @@
-type klass = Transient | Corrupt_input | Fatal | Timeout
+type klass = Transient | Fatal
 
 type t = { klass : klass; site : string; message : string; attempts : int }
 
@@ -27,9 +27,7 @@ let of_exn ?attempts e =
 
 let klass_to_string = function
   | Transient -> "transient fault"
-  | Corrupt_input -> "corrupt input"
   | Fatal -> "fatal error"
-  | Timeout -> "timeout"
 
 let to_string f =
   Printf.sprintf "%s%s after %d attempt%s: %s" (klass_to_string f.klass)

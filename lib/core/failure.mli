@@ -2,23 +2,16 @@
 
     Bare exception propagation gives a supervisor nothing to decide
     with; this module classes every failure so the {!Engine} can
-    retry what is worth retrying, time out what is hung, and surface
-    the rest as data instead of a crash:
+    retry what is worth retrying and surface the rest as data instead
+    of a crash:
 
     - [Transient]: worth retrying — injected faults
       ({!Repro_util.Faults.Injected}), I/O blips ([Sys_error]), and
       tasks abandoned because a sibling failed first.
-    - [Corrupt_input]: an input (a cache entry) failed its integrity
-      check; retrying without repair is pointless. The cache recovers
-      in place (quarantine), so this class reaching a supervisor
-      means the recovery itself failed.
-    - [Timeout]: a task exceeded its monotonic deadline. Never
-      retried — a deterministic task that was too slow once will be
-      too slow again.
     - [Fatal]: everything else (programming errors, fatal runtime
       conditions). Never retried. *)
 
-type klass = Transient | Corrupt_input | Fatal | Timeout
+type klass = Transient | Fatal
 
 type t = {
   klass : klass;
@@ -29,7 +22,7 @@ type t = {
 
 exception Error of t
 (** The taxonomy as an exception, for the boundaries that must still
-    raise (strict mode, {!Engine.map} timeouts). *)
+    raise (strict mode). *)
 
 val v : ?site:string -> ?attempts:int -> klass -> string -> t
 

@@ -89,9 +89,8 @@ let config_json cfg =
 (* ------------------------------------------------------------------ *)
 
 type t = {
-  listeners : Unix.file_descr list;
-  sock_path : string option;
-  tcp_port : int option;
+  listener : Unix.file_descr;
+  sock_path : string;
   n_workers : int;
   stop_flag : bool Atomic.t;
   mutable domains : unit Domain.t list;
@@ -120,7 +119,6 @@ type t = {
 }
 
 let sock_path t = t.sock_path
-let tcp_port t = t.tcp_port
 let request_stop t = Atomic.set t.stop_flag true
 let stopping t = Atomic.get t.stop_flag
 let config t = Mutex.protect t.lock (fun () -> t.cfg)
@@ -434,24 +432,21 @@ let worker t i =
     ~finally:(fun () -> t.tele.(i) <- Telemetry.export ())
     (fun () ->
       while not (Atomic.get t.stop_flag) do
-        match Unix.select t.listeners [] [] 0.05 with
+        match Unix.select [ t.listener ] [] [] 0.05 with
         | [], _, _ -> ()
-        | ready, _, _ ->
-            List.iter
-              (fun lfd ->
-                (* Listeners are non-blocking: when several workers
-                   wake for one pending connection, the losers get
-                   EAGAIN and go back to select. *)
-                match Unix.accept ~cloexec:true lfd with
-                | fd, _ -> handle_conn t fd
-                | exception
-                    Unix.Unix_error
-                      ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR
-                       | Unix.ECONNABORTED), _, _) -> ())
-              ready
+        | _ -> (
+            (* The listener is non-blocking: when several workers wake
+               for one pending connection, the losers get EAGAIN and go
+               back to select. *)
+            match Unix.accept ~cloexec:true t.listener with
+            | fd, _ -> handle_conn t fd
+            | exception
+                Unix.Unix_error
+                  ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR
+                   | Unix.ECONNABORTED), _, _) -> ())
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
         | exception Unix.Unix_error (Unix.EBADF, _, _) ->
-            (* A listener was closed under us: we are stopping. *)
+            (* The listener was closed under us: we are stopping. *)
             Atomic.set t.stop_flag true
       done)
 
@@ -467,20 +462,7 @@ let listen_unix path =
   Unix.set_nonblock fd;
   fd
 
-let listen_tcp port =
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-  Unix.listen fd 64;
-  Unix.set_nonblock fd;
-  let port =
-    match Unix.getsockname fd with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> port
-  in
-  (fd, port)
-
-let start ?config ?socket ?tcp ?(workers = 4) () =
+let start ?config ?(socket = "_serve.sock") ?(workers = 4) () =
   (* A client that vanishes between our read and our write must be an
      EPIPE on that connection, never a process-wide SIGPIPE kill. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -488,21 +470,13 @@ let start ?config ?socket ?tcp ?(workers = 4) () =
     match config with Some c -> { c with jobs = clamp_jobs c.jobs } | None -> current_config ()
   in
   check_config ~where:"Server.start" cfg;
-  let socket =
-    match (socket, tcp) with None, None -> Some "_serve.sock" | _ -> socket
-  in
-  let unix_l = Option.map listen_unix socket in
-  let tcp_l = Option.map listen_tcp tcp in
-  let listeners =
-    List.filter_map Fun.id [ unix_l; Option.map fst tcp_l ]
-  in
+  let listener = listen_unix socket in
   apply_config cfg;
   let n_workers = max 1 (min 16 workers) in
   let now = Telemetry.now_ns () in
   let t =
-    { listeners;
+    { listener;
       sock_path = socket;
-      tcp_port = Option.map snd tcp_l;
       n_workers;
       stop_flag = Atomic.make false;
       domains = [];
@@ -546,12 +520,8 @@ let stop t =
     List.iter Domain.join t.domains;
     t.domains <- [];
     if Telemetry.enabled () then Array.iter Telemetry.absorb t.tele;
-    List.iter
-      (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ())
-      t.listeners;
-    match t.sock_path with
-    | Some p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
-    | None -> ()
+    (try Unix.close t.listener with Unix.Unix_error _ -> ());
+    try Unix.unlink t.sock_path with Unix.Unix_error _ -> ()
   end
 
 (* ------------------------------------------------------------------ *)
@@ -561,16 +531,8 @@ let stop t =
 module Client = struct
   type conn = { fd : Unix.file_descr }
 
-  let connect ?(retry_for = 0.0) ?socket ?tcp () =
-    let addr =
-      match (socket, tcp) with
-      | Some path, _ -> Unix.ADDR_UNIX path
-      | None, Some port -> Unix.ADDR_INET (Unix.inet_addr_loopback, port)
-      | None, None -> invalid_arg "Server.Client.connect: no endpoint"
-    in
-    let domain =
-      match addr with Unix.ADDR_UNIX _ -> Unix.PF_UNIX | _ -> Unix.PF_INET
-    in
+  let connect ?(retry_for = 0.0) ~socket () =
+    let addr = Unix.ADDR_UNIX socket in
     let deadline = Unix.gettimeofday () +. retry_for in
     (* Jittered backoff: a daemon that is still binding its socket
        sees a few quick probes, a daemon that is seconds away sees
@@ -581,7 +543,7 @@ module Client = struct
         ~seed:(Unix.getpid ()) ()
     in
     let rec attempt () =
-      let fd = Unix.socket ~cloexec:true domain Unix.SOCK_STREAM 0 in
+      let fd = Unix.socket ~cloexec:true Unix.PF_UNIX Unix.SOCK_STREAM 0 in
       match Unix.connect fd addr with
       | () -> { fd }
       | exception

@@ -1,15 +1,14 @@
 (** Characterization as a service: a long-lived socket daemon that
     serves the experiment registry over a length-framed JSON protocol.
 
-    The daemon listens on a Unix-domain socket and/or a loopback TCP
-    port and answers concurrent characterization requests out of the
-    same process-wide hot store the one-shot CLI uses — the
-    {!Experiment} memo tables, the packed-trace LRU and the disk
-    {!Cache} — so a table computed for one client is free for every
-    later client at the same [(scale, config)]. Responses are
-    byte-identical to {!Report.run_to_string}: the daemon renders
-    through the same code path, it only changes who pays for the
-    trace.
+    The daemon listens on one Unix-domain socket and answers
+    concurrent characterization requests out of the same process-wide
+    hot store the one-shot CLI uses — the {!Experiment} memo tables,
+    the packed-trace LRU and the disk {!Cache} — so a table computed
+    for one client is free for every later client at the same
+    [(scale, config)]. Responses are byte-identical to
+    {!Report.run_to_string}: the daemon renders through the same code
+    path, it only changes who pays for the trace.
 
     {2 Wire protocol}
 
@@ -86,28 +85,19 @@ val env_config : unit -> config
 
 type t
 
-val start :
-  ?config:config ->
-  ?socket:string ->
-  ?tcp:int ->
-  ?workers:int ->
-  unit ->
-  t
-(** Bind the endpoints, apply [config] (default {!current_config}) to
+val start : ?config:config -> ?socket:string -> ?workers:int -> unit -> t
+(** Bind the socket, apply [config] (default {!current_config}) to
     the process-wide toggles, and spawn [workers] (default 4, clamped
-    1..16) accept/serve domains. [socket] is a Unix-domain socket
-    path (stale file replaced); [tcp] a loopback port ([0] lets the
-    kernel pick — read it back with {!tcp_port}). With neither given,
-    listens on ["_serve.sock"]. [SIGPIPE] is ignored process-wide: a
-    dying client must be an [EPIPE] on its own connection, never a
-    process kill. Each worker serves one connection at a time, so
+    1..16) accept/serve domains. [socket] (default ["_serve.sock"]) is
+    the Unix-domain socket path; a stale file there is replaced.
+    [SIGPIPE] is ignored process-wide: a dying client must be an
+    [EPIPE] on its own connection, never a process kill. Each worker serves one connection at a time, so
     [workers] bounds concurrently served clients; further connections
     queue in the listen backlog. Raises [Invalid_argument], before
     binding anything, for a [config] naming a removed feature (see
     {!config}). *)
 
-val sock_path : t -> string option
-val tcp_port : t -> int option
+val sock_path : t -> string
 
 val reload : t -> config -> int
 (** Quiesce in-flight requests, apply the configuration, bump and
@@ -137,7 +127,7 @@ val wait : ?poll_s:float -> ?on_tick:(unit -> unit) -> t -> unit
 
 val stop : t -> unit
 (** {!request_stop}, join the worker domains, absorb their telemetry
-    buffers, close the listeners and unlink the socket file.
+    buffers, close the listener and unlink the socket file.
     Idempotent. *)
 
 (** {1 Client} *)
@@ -145,12 +135,11 @@ val stop : t -> unit
 module Client : sig
   type conn
 
-  val connect :
-    ?retry_for:float -> ?socket:string -> ?tcp:int -> unit -> conn
-  (** Connect to a daemon. [retry_for] (default [0.]) keeps retrying
-      refused/absent endpoints for that many seconds — for callers
-      racing a daemon that is still binding in another process.
-      Retries pace themselves through {!Repro_util.Backoff}'s jittered
+  val connect : ?retry_for:float -> socket:string -> unit -> conn
+  (** Connect to the daemon listening on [socket]. [retry_for] (default
+      [0.]) keeps retrying a refused or absent socket for that many
+      seconds — for callers racing a daemon that is still binding in
+      another process. Retries pace themselves through {!Repro_util.Backoff}'s jittered
       exponential schedule. *)
 
   val fd : conn -> Unix.file_descr

@@ -8,7 +8,8 @@
    - an expired lease is re-issued and the completion is recorded
      exactly once — no acknowledgement is ever double-counted;
    - a pool that lost a member is replaced whole before the next
-     figure, so later sweeps run at full strength;
+     figure, so later sweeps run at full strength — also when the
+     member died between sweeps, where no sweep saw its EOF;
    - the cache is the only record of finished work: a sweep over a
      cache filled in-process computes nothing;
    - when every spawn fails, the coordinator leaves the whole sweep to
@@ -259,6 +260,29 @@ let test_degraded_pool_respawned () =
       D.prewarm ();
       Alcotest.(check int) "resized pool" 2 (List.length (D.pids ())))
 
+(* A member killed while the pool sat idle: no sweep read its EOF, so
+   only the process itself can say it is gone. The next prefetch must
+   start on a full pool, not lose its first lease to the dead member. *)
+let test_idle_death_respawned () =
+  with_dispatch_env (fun () ->
+      let id = C.Experiment.Fig5 in
+      let want = reference id in
+      D.set_workers (Some 2);
+      D.prewarm ();
+      let victim = List.hd (D.pids ()) in
+      Unix.kill victim Sys.sigkill;
+      ignore (Unix.waitpid [] victim);
+      D.reset_stats ();
+      D.prefetch ~scale id;
+      let s = D.stats () in
+      let pids = D.pids () in
+      Alcotest.(check int) "full pool" 2 (List.length pids);
+      Alcotest.(check bool) "dead member gone" false (List.mem victim pids);
+      Alcotest.(check int) "no lease reissued" 0 s.D.reissued;
+      Alcotest.(check int) "no death seen mid-sweep" 0 s.D.worker_deaths;
+      let got = C.Report.run_to_string ~scale ~jobs:1 id in
+      Alcotest.(check bool) "byte-identical" true (String.equal want got))
+
 (* ------------------------------------------------------------------ *)
 (* Resume: the cache is the record of finished work *)
 
@@ -325,7 +349,9 @@ let () =
        qcheck [ qcheck_kill9_identical; qcheck_lease_expiry_exactly_once ]);
       ("pool",
        [ Alcotest.test_case "degraded pool respawned for the next figure"
-           `Quick test_degraded_pool_respawned ]);
+           `Quick test_degraded_pool_respawned;
+         Alcotest.test_case "member killed while idle is replaced" `Quick
+           test_idle_death_respawned ]);
       ("resume",
        [ Alcotest.test_case "sweep over a filled cache computes nothing"
            `Quick test_resume_from_cache ]);

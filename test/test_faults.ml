@@ -1,5 +1,5 @@
 (* Supervised execution under fault injection: the Faults registry
-   itself, Engine retry/timeout/classification, crash-safe cache
+   itself, Engine retry/classification, crash-safe cache
    recovery (torn writes, quarantine), and the end-to-end property the whole layer exists for — a fault-torture
    run either completes with bit-identical tables or reports a
    structured, visible hole, never silently wrong data. *)
@@ -16,7 +16,6 @@ let protected f =
     ~finally:(fun () ->
       Faults.configure None;
       C.Engine.set_retries 2;
-      C.Engine.set_timeout_ms None;
       C.Experiment.set_strict false)
     f
 
@@ -101,7 +100,7 @@ let test_retry_absorbs_transient () =
       let xs = List.init 20 Fun.id in
       let rs =
         C.Engine.map_result ~jobs:4
-          ~policy:{ retries = 8; backoff_ms = 0.0; timeout_ms = None }
+          ~policy:{ retries = 8; backoff_ms = 0.0 }
           (fun x -> x * x)
           xs
       in
@@ -118,7 +117,7 @@ let test_retry_exhaustion_is_structured () =
       let s0 = C.Engine.stats () in
       let rs =
         C.Engine.map_result ~jobs:1
-          ~policy:{ retries = 3; backoff_ms = 0.0; timeout_ms = None }
+          ~policy:{ retries = 3; backoff_ms = 0.0 }
           (fun x -> x)
           [ 1 ]
       in
@@ -135,27 +134,6 @@ let test_retry_exhaustion_is_structured () =
         (s1.tasks_retried - s0.tasks_retried);
       Alcotest.(check int) "one failure counted" 1
         (s1.tasks_failed - s0.tasks_failed))
-
-let test_timeout_is_detected_not_retried () =
-  protected (fun () ->
-      let s0 = C.Engine.stats () in
-      let rs =
-        C.Engine.map_result ~jobs:1
-          ~policy:{ retries = 5; backoff_ms = 0.0; timeout_ms = Some 1 }
-          (fun () -> Unix.sleepf 0.02)
-          [ () ]
-      in
-      let s1 = C.Engine.stats () in
-      (match rs with
-      | [ Error fl ] ->
-          Alcotest.(check bool) "timeout class" true
-            (fl.C.Failure.klass = C.Failure.Timeout)
-      | [ Ok () ] -> Alcotest.fail "overrunning result not discarded"
-      | _ -> Alcotest.fail "expected one result");
-      Alcotest.(check int) "counted as timed out" 1
-        (s1.tasks_timed_out - s0.tasks_timed_out);
-      Alcotest.(check int) "deterministic slowness is never retried" 0
-        (s1.tasks_retried - s0.tasks_retried))
 
 let test_map_raises_original_after_retries () =
   protected (fun () ->
@@ -179,7 +157,7 @@ let qcheck_supervised_identity =
           let xs = List.init 12 Fun.id in
           let rs =
             C.Engine.map_result ~jobs
-              ~policy:{ retries = 8; backoff_ms = 0.0; timeout_ms = None }
+              ~policy:{ retries = 8; backoff_ms = 0.0 }
               (fun x -> (x * 7919) mod 1009)
               xs
           in
@@ -428,8 +406,6 @@ let () =
             test_retry_absorbs_transient;
           Alcotest.test_case "exhaustion is structured" `Quick
             test_retry_exhaustion_is_structured;
-          Alcotest.test_case "timeout detected, not retried" `Quick
-            test_timeout_is_detected_not_retried;
           Alcotest.test_case "map re-raises the original" `Quick
             test_map_raises_original_after_retries ]
         @ Qseed.all [ qcheck_supervised_identity ] );

@@ -165,8 +165,12 @@ let test_client_death_mid_request () =
 (* ------------------------------------------------------------------ *)
 (* Concurrent byte-identity *)
 
+(* Four clients render while a reloader swaps in the same config once
+   half the responses are in: every response stays byte-identical to
+   the one-shot rendering across the reload, and the first request
+   under the new generation stamps its update lag. *)
 let test_concurrent_clients_identical () =
-  with_server (fun (_t, sock) ->
+  with_server (fun (t, sock) ->
       let ids = [| "tab1"; "tab2"; "fig1"; "fig4" |] in
       let expected =
         Array.map
@@ -176,6 +180,7 @@ let test_concurrent_clients_identical () =
           ids
       in
       let per_client = 6 in
+      let answered = Atomic.make 0 in
       let client ci =
         let conn = S.Client.connect ~socket:sock () in
         Fun.protect
@@ -189,15 +194,36 @@ let test_concurrent_clients_identical () =
                        [ ("op", J.Str "experiment");
                          ("id", J.Str ids.(which)) ])
                 in
+                Atomic.incr answered;
                 (field "ok" r = J.Bool true)
                 && field "text" r = J.Str expected.(which)))
       in
+      let reloader =
+        Domain.spawn (fun () ->
+            while Atomic.get answered < 4 * per_client / 2 do
+              Unix.sleepf 0.002
+            done;
+            ignore (S.reload t (S.config t)))
+      in
       let domains = List.init 4 (fun ci -> Domain.spawn (fun () -> client ci)) in
       let results = List.concat_map Domain.join domains in
+      Domain.join reloader;
       Alcotest.(check int) "all answered" (4 * per_client)
         (List.length results);
       Alcotest.(check bool) "all byte-identical" true
-        (List.for_all Fun.id results))
+        (List.for_all Fun.id results);
+      Alcotest.(check bool) "reloaded mid-run" true (S.generation t >= 1);
+      (* A gated request after the reload, then read the lag back. *)
+      let conn = S.Client.connect ~socket:sock () in
+      Fun.protect
+        ~finally:(fun () -> S.Client.close conn)
+        (fun () ->
+          check_ok (ping conn);
+          let st = request conn (J.Obj [ ("op", J.Str "stats") ]) in
+          check_ok st;
+          match field "update_lag_ms" st with
+          | J.Num v -> Alcotest.(check bool) "lag non-negative" true (v >= 0.0)
+          | _ -> Alcotest.fail "update_lag_ms is not a number"))
 
 (* ------------------------------------------------------------------ *)
 (* Reload *)
