@@ -82,20 +82,37 @@ let run src specs =
   let insts_s = ref 0 and insts_p = ref 0 in
   let conds_s = ref 0 and conds_p = ref 0 in
   let ghr = ref 0 in
+  (* Config [k]'s prediction for [i]; the config is then trained on
+     the outcome. *)
+  let step k (i : Inst.t) pcx =
+    match Array.unsafe_get engines k with
+    | Table { table; mask; lbp } ->
+        let idx = (pcx lxor !ghr) land mask in
+        let dir =
+          match lbp with
+          | Some l ->
+              let d = F.Loop_predictor.predict l ~pc:i.addr in
+              F.Loop_predictor.update l ~pc:i.addr ~taken:i.taken;
+              d
+          | None -> None
+        in
+        let pred =
+          match dir with Some d -> d | None -> F.Counter.is_taken table idx
+        in
+        F.Counter.update table idx i.taken;
+        pred
+    | Closure p -> p.F.Predictor.step i.addr i.taken
+    | Static_e Always_taken -> true
+    | Static_e Always_not_taken -> false
+    | Static_e Btfn -> i.target < i.addr
+  in
   (* One conditional branch, all configs; the history push is hoisted
      out of the per-config loop. *)
   let feed_cond (i : Inst.t) =
     let pcx = i.addr lsr 1 in
     if i.warmup then
       for k = 0 to n - 1 do
-        match Array.unsafe_get engines k with
-        | Table { table; mask; lbp } ->
-            (match lbp with
-            | Some l -> F.Loop_predictor.update l ~pc:i.addr ~taken:i.taken
-            | None -> ());
-            F.Counter.update table ((pcx lxor !ghr) land mask) i.taken
-        | Closure p -> p.F.Predictor.update i.addr i.taken
-        | Static_e _ -> ()
+        ignore (step k i pcx)
       done
     else begin
       let sec = section_bit i in
@@ -107,35 +124,10 @@ let run src specs =
         else 4 + sec
       in
       for k = 0 to n - 1 do
-        let pred =
-          match Array.unsafe_get engines k with
-          | Table { table; mask; lbp } -> (
-              let idx = (pcx lxor !ghr) land mask in
-              let dir =
-                match lbp with
-                | Some l -> F.Loop_predictor.predict l ~pc:i.addr
-                | None -> None
-              in
-              match dir with
-              | Some d -> d
-              | None -> F.Counter.is_taken table idx)
-          | Closure p -> p.F.Predictor.predict i.addr
-          | Static_e Always_taken -> true
-          | Static_e Always_not_taken -> false
-          | Static_e Btfn -> i.target < i.addr
-        in
-        if pred <> i.taken then begin
+        if step k i pcx <> i.taken then begin
           let j = (k * cells) + cell in
           Array.unsafe_set miss j (Array.unsafe_get miss j + 1)
-        end;
-        match Array.unsafe_get engines k with
-        | Table { table; mask; lbp } ->
-            (match lbp with
-            | Some l -> F.Loop_predictor.update l ~pc:i.addr ~taken:i.taken
-            | None -> ());
-            F.Counter.update table ((pcx lxor !ghr) land mask) i.taken
-        | Closure p -> p.F.Predictor.update i.addr i.taken
-        | Static_e _ -> ()
+        end
       done
     end;
     ghr := ((!ghr lsl 1) lor (if i.taken then 1 else 0)) land ghr_mask

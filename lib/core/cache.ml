@@ -1,15 +1,16 @@
 module Telemetry = Repro_util.Telemetry
 module Faults = Repro_util.Faults
 
-(* "5": a characterization's footprint became a four-int
-   [Footprint.summary] (it was the per-address table), so a v4 "charz"
-   payload must never be unmarshalled at the new type. *)
-let version = "5"
+(* "6": Fig 3's coverage footprint breaks count ties by address, so a
+   v5 "charz" payload may hold a summary the current code no longer
+   computes. ("5": the footprint became a four-int
+   [Footprint.summary].) *)
+let version = "6"
 
 let magic = "REPROCACHE2\n"
 let suffix = ".bin"
 
-(* In-flight temp files carry a suffix that [cache_files] can never
+(* In-flight temp files carry a suffix that [files_with] can never
    match: with the old ".bin" suffix, [entries ()] over-counted and a
    concurrent [clear ()] could delete a temp file out from under the
    [store] about to rename it, silently losing the entry. *)
@@ -196,7 +197,7 @@ let store k v =
                domains or other processes) never interleave; the final
                rename is atomic and last-writer-wins with equal bytes.
                The .tmp suffix keeps the in-flight file invisible to
-               [cache_files], so a concurrent [clear] cannot delete it
+               [files_with], so a concurrent [clear] cannot delete it
                before the rename. *)
             let tmp, oc =
               Filename.open_temp_file ~mode:[ Open_binary ] ~temp_dir:(dir ())
@@ -228,27 +229,23 @@ let memoize k compute =
         store k v;
         v
 
-(* Only finished entries (".bin"): in-flight ".tmp" files are never
-   listed, counted or cleared. *)
-let cache_files () =
+(* The directory's files ending in one of [suffixes]. Only finished
+   entries (".bin") and quarantined ones (".bad") are ever listed:
+   in-flight ".tmp" files are never counted or cleared. *)
+let files_with suffixes =
   match Sys.readdir (dir ()) with
   | files ->
-      List.filter (fun f -> Filename.check_suffix f suffix)
+      List.filter
+        (fun f -> List.exists (Filename.check_suffix f) suffixes)
         (Array.to_list files)
   | exception Sys_error _ -> []
 
-let quarantined_files () =
-  match Sys.readdir (dir ()) with
-  | files ->
-      List.filter (fun f -> Filename.check_suffix f bad_suffix)
-        (Array.to_list files)
-  | exception Sys_error _ -> []
-
+(* One directory listing for both kinds. *)
 let clear () =
   List.iter
     (fun f ->
       try Sys.remove (Filename.concat (dir ()) f) with Sys_error _ -> ())
-    (cache_files () @ quarantined_files ())
+    (files_with [ suffix; bad_suffix ])
 
-let entries () = List.length (cache_files ())
-let quarantined () = List.length (quarantined_files ())
+let entries () = List.length (files_with [ suffix ])
+let quarantined () = List.length (files_with [ bad_suffix ])

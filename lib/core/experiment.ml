@@ -1018,8 +1018,7 @@ let tab2 ~jobs:_ _ =
   row "loop predictor" "64 entries"
     (fun () ->
       let lbp = F.Loop_predictor.create () in
-      F.Predictor.make ~name:"lbp" ~predict:(fun _ -> false)
-        ~update:(fun _ _ -> ())
+      F.Predictor.make ~name:"lbp" ~step:(fun _ _ -> false)
         ~storage_bits:(F.Loop_predictor.storage_bits lbp))
     "~0.5KB";
   [ t ]

@@ -9,14 +9,16 @@ let create ~history_bits =
 let index t pc = (pc lsr 1) lxor History.low_bits t.hist t.m
 let predict t ~pc = Counter.is_taken t.table (index t pc)
 
-let update t ~pc ~taken =
-  Counter.update t.table (index t pc) taken;
-  History.push t.hist taken
+let step t ~pc ~taken =
+  let i = index t pc in
+  let pred = Counter.is_taken t.table i in
+  Counter.update t.table i taken;
+  History.push t.hist taken;
+  pred
 
 let storage_bits t = Counter.storage_bits t.table
 
 let pack ~name t =
   Predictor.make ~name
-    ~predict:(fun pc -> predict t ~pc)
-    ~update:(fun pc taken -> update t ~pc ~taken)
+    ~step:(fun pc taken -> step t ~pc ~taken)
     ~storage_bits:(storage_bits t)

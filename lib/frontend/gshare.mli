@@ -10,6 +10,10 @@ type t
 
 val create : history_bits:int -> t
 val predict : t -> pc:int -> bool
-val update : t -> pc:int -> taken:bool -> unit
+(** Pure: reads the table and history, changes nothing. *)
+
+val step : t -> pc:int -> taken:bool -> bool
+(** [predict], then train on [taken]; returns the prediction. *)
+
 val storage_bits : t -> int
 val pack : name:string -> t -> Predictor.t

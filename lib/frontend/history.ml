@@ -1,6 +1,7 @@
 (* Circular bit buffer; head points at the slot of the most recent
    outcome. A packed shadow register mirrors the newest outcomes so
-   the common [low_bits] query (predictor indexing) is one mask. *)
+   [low_bits] is one mask and [bit] below 62 is one shift; older bits
+   come from the buffer. Neither path divides. *)
 type t = {
   len : int;
   buf : Bytes.t;
@@ -22,13 +23,16 @@ let create len =
 let length t = t.len
 
 let push t taken =
-  t.head <- (t.head + t.len - 1) mod t.len;
+  t.head <- (if t.head = 0 then t.len - 1 else t.head - 1);
   Bytes.unsafe_set t.buf t.head (if taken then '\001' else '\000');
   t.reg <- ((t.reg lsl 1) lor (if taken then 1 else 0)) land t.reg_mask
 
 let bit t i =
   if i < 0 || i >= t.len then false
-  else Char.code (Bytes.unsafe_get t.buf ((t.head + i) mod t.len)) = 1
+  else if i < 62 then (t.reg lsr i) land 1 = 1
+  else
+    let j = t.head + i in
+    Bytes.unsafe_get t.buf (if j >= t.len then j - t.len else j) = '\001'
 
 let low_bits t n =
   if n > 62 then invalid_arg "History.low_bits: too wide";

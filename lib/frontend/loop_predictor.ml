@@ -78,11 +78,9 @@ let storage_bits t = Array.length t.entries * (t.tag_bits + 14 + 14 + 3 + 1)
 let combine t base =
   Predictor.make
     ~name:("L-" ^ base.Predictor.name)
-    ~predict:(fun pc ->
-      match predict t ~pc with
-      | Some dir -> dir
-      | None -> base.Predictor.predict pc)
-    ~update:(fun pc taken ->
+    ~step:(fun pc taken ->
+      let own = predict t ~pc in
+      let fallback = base.Predictor.step pc taken in
       update t ~pc ~taken;
-      base.Predictor.update pc taken)
+      match own with Some dir -> dir | None -> fallback)
     ~storage_bits:(storage_bits t + base.Predictor.storage_bits)

@@ -13,9 +13,15 @@ type t
 
 val create : ?entries:int -> ?history:int -> unit -> t
 (** Defaults: 128 perceptrons over 24 history bits (~3KB of 8-bit
-    weights). [entries] must be a power of two; [history <= 64]. *)
+    weights). [entries] must be a power of two and
+    [1 <= history <= 62] (the history is read as one packed word);
+    anything else raises [Invalid_argument]. *)
 
 val predict : t -> pc:int -> bool
-val update : t -> pc:int -> taken:bool -> unit
+(** Pure: reads the weights and history, changes nothing. *)
+
+val step : t -> pc:int -> taken:bool -> bool
+(** [predict], then train on [taken]; returns the prediction. *)
+
 val storage_bits : t -> int
 val pack : ?name:string -> t -> Predictor.t

@@ -1,12 +1,10 @@
 type t = {
   name : string;
-  predict : int -> bool;
-  update : int -> bool -> unit;
+  step : int -> bool -> bool;
   storage_bits : int;
 }
 
-let make ~name ~predict ~update ~storage_bits =
-  { name; predict; update; storage_bits }
+let make ~name ~step ~storage_bits = { name; step; storage_bits }
 
 let storage_bytes t = (t.storage_bits + 7) / 8
 

@@ -33,22 +33,6 @@ let tau = 3
    they drifted. *)
 let sampled_set set = set land 3 = 0
 
-(* Feature hashes over the fetch-line address and the two most recent
-   demand fetch lines. The line address is the PC stripped of its
-   line offset, so "PC bits" and "line address bits" coincide at the
-   granularity the cache sees. Kept deliberately simple (shifts and
-   xors into 8 bits) — the differential-test reference transliterates
-   these expressions verbatim. *)
-let feature j ~line ~h1 ~h2 =
-  (match j with
-  | 0 -> line
-  | 1 -> line lsr 4
-  | 2 -> line lsr 8
-  | 3 -> line lxor (line lsr 5)
-  | 4 -> line lxor h1
-  | _ -> (line lsr 2) lxor (h2 lsr 1))
-  land (table_entries - 1)
-
 type preuse = {
   wt : int array; (* tables * table_entries signed weights *)
   feat : int array; (* ways * tables: per-way recorded table indices *)
@@ -116,38 +100,54 @@ let train p ~way ~reused =
     done
   end
 
-(* Predict [line] under the current history into the scratch slot. *)
-let predict p ~line =
-  let y = ref 0 in
-  for j = 0 to tables - 1 do
-    let ix = feature j ~line ~h1:p.h1 ~h2:p.h2 in
-    p.s_idx.(j) <- ix;
-    y := !y + Array.unsafe_get p.wt ((j * table_entries) + ix)
-  done;
-  p.s_yout <- !y
+(* Predict [line] under the current history: write the six table
+   indices to [dst] from offset [off] and return the sum. The features
+   hash the fetch-line address and the two most recent demand fetch
+   lines. The line address is the PC stripped of its line offset, so
+   "PC bits" and "line address bits" coincide at the granularity the
+   cache sees. Kept deliberately simple (shifts and xors into 8 bits)
+   — the differential-test reference transliterates these expressions
+   verbatim — and unrolled, because this runs on every hit. *)
+let predict p ~line dst off =
+  let m = table_entries - 1 in
+  let i0 = line land m in
+  let i1 = (line lsr 4) land m in
+  let i2 = (line lsr 8) land m in
+  let i3 = (line lxor (line lsr 5)) land m in
+  let i4 = (line lxor p.h1) land m in
+  let i5 = ((line lsr 2) lxor (p.h2 lsr 1)) land m in
+  Array.unsafe_set dst off i0;
+  Array.unsafe_set dst (off + 1) i1;
+  Array.unsafe_set dst (off + 2) i2;
+  Array.unsafe_set dst (off + 3) i3;
+  Array.unsafe_set dst (off + 4) i4;
+  Array.unsafe_set dst (off + 5) i5;
+  let wt = p.wt in
+  Array.unsafe_get wt i0
+  + Array.unsafe_get wt (table_entries + i1)
+  + Array.unsafe_get wt ((2 * table_entries) + i2)
+  + Array.unsafe_get wt ((3 * table_entries) + i3)
+  + Array.unsafe_get wt ((4 * table_entries) + i4)
+  + Array.unsafe_get wt ((5 * table_entries) + i5)
 
-(* Install the scratch prediction as [way]'s recorded state. *)
-let record p ~way =
-  let base = way * tables in
-  for j = 0 to tables - 1 do
-    p.feat.(base + j) <- p.s_idx.(j)
-  done;
-  p.youts.(way) <- p.s_yout;
-  Bytes.unsafe_set p.pdead way (if p.s_yout >= tau then '\001' else '\000')
+(* Install a prediction summing to [yout] as [way]'s recorded state;
+   its indices are already in [feat]. *)
+let set_yout p ~way yout =
+  p.youts.(way) <- yout;
+  Bytes.unsafe_set p.pdead way (if yout >= tau then '\001' else '\000')
 
 let on_hit t ~way ~set ~line =
   match t.state with
   | Lru_state -> ()
   | Preuse_state p ->
       if sampled_set set then train p ~way ~reused:true;
-      predict p ~line;
-      record p ~way
+      set_yout p ~way (predict p ~line p.feat (way * tables))
 
 let prepare t ~set ~line =
   match t.state with
   | Lru_state -> false
   | Preuse_state p ->
-      predict p ~line;
+      p.s_yout <- predict p ~line p.s_idx 0;
       (not (sampled_set set)) && p.s_yout >= tau
 
 (* The historical hard-wired scan, verbatim: first invalid way wins,
@@ -197,7 +197,8 @@ let on_fill t ~way ~set ~evicted =
   | Lru_state -> ()
   | Preuse_state p ->
       if evicted && sampled_set set then train p ~way ~reused:false;
-      record p ~way
+      Array.blit p.s_idx 0 p.feat (way * tables) tables;
+      set_yout p ~way p.s_yout
 
 let note_access t ~line =
   match t.state with

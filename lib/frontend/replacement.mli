@@ -56,11 +56,6 @@ val sampled_set : int -> bool
 (** Sampler sets train the predictor and never bypass; the rest use
     its predictions. One set in four samples. *)
 
-val feature : int -> line:int -> h1:int -> h2:int -> int
-(** Table index of feature [j] (0 .. [tables]-1) for a fetch of line
-    address [line] with recent-line history [h1] (most recent) and
-    [h2]. Pure — the differential-test reference transliterates it. *)
-
 (** {1 Per-cache policy state} *)
 
 type t

@@ -27,6 +27,12 @@ val geometric_specs :
 (** Helper building the classic geometric history-length series. *)
 
 val predict : t -> pc:int -> bool
-val update : t -> pc:int -> taken:bool -> unit
+(** Pure as far as the predictor state goes (tables, histories, the
+    allocation RNG); it only overwrites per-instance scratch. *)
+
+val step : t -> pc:int -> taken:bool -> bool
+(** [predict], then train on [taken]; returns the prediction. Each
+    table's index and tag are hashed once per call. *)
+
 val storage_bits : t -> int
 val pack : name:string -> t -> Predictor.t

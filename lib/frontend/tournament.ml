@@ -35,11 +35,12 @@ let predict t ~pc =
   if Counter.is_taken t.choice gi then Counter.is_taken t.global_pred gi
   else Counter.is_taken t.local_pred (local_index t pc)
 
-let update t ~pc ~taken =
+let step t ~pc ~taken =
   let gi = global_index t in
   let li = local_index t pc in
   let local_guess = Counter.is_taken t.local_pred li in
   let global_guess = Counter.is_taken t.global_pred gi in
+  let pred = if Counter.is_taken t.choice gi then global_guess else local_guess in
   (* Train the choice only when the components disagree. *)
   if local_guess <> global_guess then
     Counter.update t.choice gi (global_guess = taken);
@@ -48,7 +49,8 @@ let update t ~pc ~taken =
   let slot = local_slot t pc in
   t.local_hist.(slot) <-
     ((t.local_hist.(slot) lsl 1) lor Bool.to_int taken) land ((1 lsl t.m) - 1);
-  History.push t.ghist taken
+  History.push t.ghist taken;
+  pred
 
 let storage_bits t =
   ((1 lsl t.n) * t.m)
@@ -58,6 +60,5 @@ let storage_bits t =
 
 let pack ~name t =
   Predictor.make ~name
-    ~predict:(fun pc -> predict t ~pc)
-    ~update:(fun pc taken -> update t ~pc ~taken)
+    ~step:(fun pc taken -> step t ~pc ~taken)
     ~storage_bits:(storage_bits t)

@@ -13,6 +13,10 @@ type t
 
 val create : addr_bits:int -> history_bits:int -> t
 val predict : t -> pc:int -> bool
-val update : t -> pc:int -> taken:bool -> unit
+(** Pure: reads the tables and histories, changes nothing. *)
+
+val step : t -> pc:int -> taken:bool -> bool
+(** [predict], then train on [taken]; returns the prediction. *)
+
 val storage_bits : t -> int
 val pack : name:string -> t -> Predictor.t

@@ -16,11 +16,13 @@ let create ?(addr_bits = 10) ?(history = 10) () =
 let slot t pc = (pc lsr 1) land ((1 lsl t.addr_bits) - 1)
 let predict t ~pc = Counter.is_taken t.pattern t.local_hist.(slot t pc)
 
-let update t ~pc ~taken =
+let step t ~pc ~taken =
   let s = slot t pc in
-  Counter.update t.pattern t.local_hist.(s) taken;
-  t.local_hist.(s) <-
-    ((t.local_hist.(s) lsl 1) lor Bool.to_int taken) land ((1 lsl t.history) - 1)
+  let h = t.local_hist.(s) in
+  let pred = Counter.is_taken t.pattern h in
+  Counter.update t.pattern h taken;
+  t.local_hist.(s) <- ((h lsl 1) lor Bool.to_int taken) land ((1 lsl t.history) - 1);
+  pred
 
 let storage_bits t =
   ((1 lsl t.addr_bits) * t.history) + Counter.storage_bits t.pattern
@@ -32,6 +34,5 @@ let pack ?name t =
     | None -> Printf.sprintf "two-level-%d.%d" t.addr_bits t.history
   in
   Predictor.make ~name
-    ~predict:(fun pc -> predict t ~pc)
-    ~update:(fun pc taken -> update t ~pc ~taken)
+    ~step:(fun pc taken -> step t ~pc ~taken)
     ~storage_bits:(storage_bits t)

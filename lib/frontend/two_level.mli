@@ -13,6 +13,10 @@ val create : ?addr_bits:int -> ?history:int -> unit -> t
     pattern table. Cost [2^addr_bits * history + 2^history * 2] bits. *)
 
 val predict : t -> pc:int -> bool
-val update : t -> pc:int -> taken:bool -> unit
+(** Pure: reads the tables and histories, changes nothing. *)
+
+val step : t -> pc:int -> taken:bool -> bool
+(** [predict], then train on [taken]; returns the prediction. *)
+
 val storage_bits : t -> int
 val pack : ?name:string -> t -> Predictor.t

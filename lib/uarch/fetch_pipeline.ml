@@ -70,9 +70,7 @@ let control t (i : Inst.t) =
   match i.kind with
   | Inst.Plain -> ()
   | Inst.Cond_branch ->
-      let pred = t.bp.F.Predictor.predict i.addr in
-      t.bp.F.Predictor.update i.addr i.taken;
-      if pred <> i.taken then begin
+      if t.bp.F.Predictor.step i.addr i.taken <> i.taken then begin
         t.bp_cycles <- t.bp_cycles +. float_of_int bp_bubbles;
         redirect t
       end
@@ -110,7 +108,7 @@ let control t (i : Inst.t) =
 let feed t (i : Inst.t) =
   if i.warmup then begin
     (* Warm structures without counting cycles. *)
-    if i.kind = Inst.Cond_branch then t.bp.F.Predictor.update i.addr i.taken;
+    if i.kind = Inst.Cond_branch then ignore (t.bp.F.Predictor.step i.addr i.taken);
     ignore (F.Icache.access t.icache ~addr:i.addr ~size:i.size)
   end
   else begin

@@ -143,21 +143,3 @@ module Histogram = struct
     done;
     !acc
 end
-
-let bytes_for_coverage cells ~coverage =
-  assert (coverage >= 0.0 && coverage <= 1.0);
-  let total = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 cells in
-  if total = 0.0 then 0
-  else begin
-    let sorted =
-      List.sort (fun (_, w1) (_, w2) -> Float.compare w2 w1) cells
-    in
-    let target = coverage *. total in
-    let rec go bytes mass = function
-      | [] -> bytes
-      | (size, w) :: rest ->
-          if mass >= target then bytes
-          else go (bytes + size) (mass +. w) rest
-    in
-    go 0 0.0 sorted
-  end

@@ -72,13 +72,3 @@ module Histogram : sig
   val mass_below : t -> float -> float
   (** Total weight strictly below a threshold (by bin lower bound). *)
 end
-
-(** {1 Cumulative footprints} *)
-
-val bytes_for_coverage : (int * float) list -> coverage:float -> int
-(** [bytes_for_coverage cells ~coverage] where [cells] is a list of
-    [(size_in_bytes, dynamic_weight)]: sorts cells by weight (hottest
-    first) and returns the number of bytes of the hottest cells needed
-    to cover [coverage] (e.g. [0.99]) of the total dynamic weight.
-    Weights must not be [nan]. The sort is stable: cells of equal
-    weight are taken in list order. *)

@@ -15,6 +15,8 @@ let storage_bits t = Repro_frontend.Counter.storage_bits t.table
 let pack t =
   Repro_frontend.Predictor.make
     ~name:(Printf.sprintf "bimodal-%d" (Repro_frontend.Counter.entries t.table))
-    ~predict:(fun pc -> predict t ~pc)
-    ~update:(fun pc taken -> update t ~pc ~taken)
+    ~step:(fun pc taken ->
+      let pred = predict t ~pc in
+      update t ~pc ~taken;
+      pred)
     ~storage_bits:(storage_bits t)

@@ -28,34 +28,29 @@ let make engine =
 let create predictor = make (Dynamic predictor)
 let create_static s = make (Static s)
 
-let engine_predict t (i : Inst.t) =
+(* The prediction for [i], made before the engine trains on it. *)
+let engine_step t (i : Inst.t) =
   match t.engine with
-  | Dynamic p -> p.Repro_frontend.Predictor.predict i.addr
+  | Dynamic p -> p.Repro_frontend.Predictor.step i.addr i.taken
   | Static Always_taken -> true
   | Static Always_not_taken -> false
   | Static Btfn -> i.target < i.addr
 
-let engine_update t (i : Inst.t) =
-  match t.engine with
-  | Dynamic p -> p.Repro_frontend.Predictor.update i.addr i.taken
-  | Static _ -> ()
-
 let feed t (i : Inst.t) =
   if i.warmup then begin
     (* Warmup trains predictor state but is excluded from statistics. *)
-    if i.kind = Inst.Cond_branch then engine_update t i
+    if i.kind = Inst.Cond_branch then ignore (engine_step t i)
   end
   else begin
     let s = i.section in
     Split.incr t.insts s;
     if i.kind = Inst.Cond_branch then begin
       Split.incr t.conds s;
-      if engine_predict t i <> i.taken then begin
+      if engine_step t i <> i.taken then begin
         if not i.taken then Split.incr t.miss_nt s
         else if i.target < i.addr then Split.incr t.miss_tb s
         else Split.incr t.miss_tf s
-      end;
-      engine_update t i
+      end
     end
   end
 

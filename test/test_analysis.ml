@@ -142,6 +142,80 @@ let prop_footprint_summary =
            (fun scope -> A.Footprint.hot_bytes expect scope = hot scope)
            [ total; serial; parallel ])
 
+(* Coverage picks the hottest instructions first; equal counts are
+   taken in address order, whatever order they were fed in. *)
+let test_footprint_coverage_order () =
+  let fed insts =
+    let f = A.Footprint.create () in
+    List.iter
+      (fun (addr, size, n) ->
+        for _ = 1 to n do A.Footprint.feed f (mk ~size addr) done)
+      insts;
+    f
+  in
+  let cover f coverage = A.Footprint.dynamic_bytes f total ~coverage in
+  let f = fed [ (0x100, 100, 90); (0x200, 50, 9); (0x300, 1000, 1) ] in
+  Alcotest.(check int) "99% needs the two hottest" 150 (cover f 0.99);
+  Alcotest.(check int) "50% needs the hottest" 100 (cover f 0.5);
+  Alcotest.(check int) "empty" 0 (cover (fed []) 0.9);
+  Alcotest.(check int) "tie takes the lower address" 8
+    (cover (fed [ (0x10, 8, 1); (0x20, 4, 1) ]) 0.5);
+  Alcotest.(check int) "tie, fed in reverse" 8
+    (cover (fed [ (0x20, 4, 1); (0x10, 8, 1) ]) 0.5);
+  Alcotest.(check int) "tie, sizes swapped" 4
+    (cover (fed [ (0x20, 8, 1); (0x10, 4, 1) ]) 0.5)
+
+(* [dynamic_bytes] against a naive model: per address the size first
+   seen and the in-scope count, sorted by count (descending) then
+   address. The generator's 64 addresses make ties the common case. *)
+let naive_dynamic_bytes stream scope ~coverage =
+  let in_scope (i : Inst.t) =
+    (not i.warmup)
+    &&
+    match scope with
+    | A.Branch_mix.Total -> true
+    | A.Branch_mix.Only s -> i.section = s
+  in
+  let addrs = List.sort_uniq compare (List.map (fun (i : Inst.t) -> i.addr) stream) in
+  let cells =
+    List.filter_map
+      (fun a ->
+        let size = (List.find (fun (i : Inst.t) -> i.addr = a) stream).size in
+        let n =
+          List.length (List.filter (fun (i : Inst.t) -> i.addr = a && in_scope i) stream)
+        in
+        if n > 0 then Some (n, a, size) else None)
+      addrs
+  in
+  let sorted =
+    List.sort (fun (n1, a1, _) (n2, a2, _) -> compare (n2, a1) (n1, a2)) cells
+  in
+  let target =
+    coverage *. float_of_int (List.fold_left (fun acc (n, _, _) -> acc + n) 0 cells)
+  in
+  let rec go bytes mass = function
+    | (n, _, size) :: rest when float_of_int mass < target ->
+        go (bytes + size) (mass + n) rest
+    | _ -> bytes
+  in
+  go 0 0 sorted
+
+let prop_footprint_total_order =
+  QCheck.Test.make ~name:"dynamic_bytes == naive total order, ties" ~count:200
+    (QCheck.make
+       ~print:(fun (l, c) -> Printf.sprintf "<%d insts> coverage %g" (List.length l) c)
+       QCheck.Gen.(
+         pair (list_size (int_range 0 300) inst_gen)
+           (oneofl [ 0.0; 0.5; 0.9; 0.99; 1.0 ])))
+    (fun (stream, coverage) ->
+      let f = A.Footprint.create () in
+      List.iter (A.Footprint.feed f) stream;
+      List.for_all
+        (fun scope ->
+          A.Footprint.dynamic_bytes f scope ~coverage
+          = naive_dynamic_bytes stream scope ~coverage)
+        [ total; serial; parallel ])
+
 (* A characterization is what the disk cache stores per benchmark, so
    it must stay small: no per-address table may creep back in. The
    budget is the experiments' scale-0.05 one. *)
@@ -181,8 +255,7 @@ let test_bblock_stats () =
 let test_bp_sim_perfect_and_never () =
   let always_right =
     Repro_frontend.Predictor.make ~name:"oracle-taken"
-      ~predict:(fun _ -> true)
-      ~update:(fun _ _ -> ())
+      ~step:(fun _ _ -> true)
       ~storage_bits:0
   in
   let sim = Bp_sim.create always_right in
@@ -193,8 +266,7 @@ let test_bp_sim_perfect_and_never () =
   Alcotest.(check (float 1e-9)) "oracle mpki" 0.0 (Bp_sim.mpki sim total);
   let always_wrong =
     Repro_frontend.Predictor.make ~name:"anti"
-      ~predict:(fun _ -> false)
-      ~update:(fun _ _ -> ())
+      ~step:(fun _ _ -> false)
       ~storage_bits:0
   in
   let sim2 = Bp_sim.create always_wrong in
@@ -282,8 +354,10 @@ let () =
       ("footprint",
        [ Alcotest.test_case "static/dynamic" `Quick test_footprint;
          Alcotest.test_case "warmup static only" `Quick
-           test_footprint_warmup_static_only ]
-       @ Qseed.all [ prop_footprint_summary ]);
+           test_footprint_warmup_static_only;
+         Alcotest.test_case "coverage order" `Quick
+           test_footprint_coverage_order ]
+       @ Qseed.all [ prop_footprint_summary; prop_footprint_total_order ]);
       ("bblock_stats", [ Alcotest.test_case "known trace" `Quick test_bblock_stats ]);
       ("bp_sim",
        [ Alcotest.test_case "oracle and anti" `Quick test_bp_sim_perfect_and_never ]);

@@ -12,8 +12,7 @@ let drive predictor feed =
   let miss = ref 0 and n = ref 0 in
   feed (fun pc taken ->
       incr n;
-      if predictor.F.Predictor.predict pc <> taken then incr miss;
-      predictor.F.Predictor.update pc taken);
+      if predictor.F.Predictor.step pc taken <> taken then incr miss);
   float_of_int !miss /. float_of_int (max 1 !n)
 
 (* ------------------------------------------------------------------ *)
@@ -62,7 +61,16 @@ let test_perceptron_storage () =
 let test_perceptron_invalid () =
   Alcotest.check_raises "entries"
     (Invalid_argument "Perceptron.create: entries") (fun () ->
-      ignore (F.Perceptron.create ~entries:100 ()))
+      ignore (F.Perceptron.create ~entries:100 ()));
+  (* The history is read as one packed word of at most 62 outcomes. *)
+  List.iter
+    (fun history ->
+      Alcotest.check_raises
+        (Printf.sprintf "history %d" history)
+        (Invalid_argument "Perceptron.create: history")
+        (fun () -> ignore (F.Perceptron.create ~history ())))
+    [ 0; 63; 64 ];
+  ignore (F.Perceptron.create ~history:62 ())
 
 (* ------------------------------------------------------------------ *)
 (* Two-level *)

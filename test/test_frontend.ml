@@ -80,8 +80,7 @@ let drive predictor feed =
   let miss = ref 0 and n = ref 0 in
   feed (fun pc taken ->
       incr n;
-      if predictor.F.Predictor.predict pc <> taken then incr miss;
-      predictor.F.Predictor.update pc taken);
+      if predictor.F.Predictor.step pc taken <> taken then incr miss);
   float_of_int !miss /. float_of_int (max 1 !n)
 
 let always_taken f = for _ = 1 to 2000 do f 0x4000 true done

@@ -51,6 +51,24 @@ let check_all_paths id () =
         (List.length (C.Experiment.tasks_for id))
         served)
 
+(* Simulated instructions behind one uncached report at this scale
+   (every figure's trace passes summed): a kernel or scheduling change
+   that adds or drops a pass fails here. Measured with
+   [REPRO_CACHE=0 repro_cli report --scale 0.05 --trace]. *)
+let report_sim_insts = 43_950_000
+
+let check_pass_count () =
+  let module T = Repro_util.Telemetry in
+  C.Cache.set_enabled false;
+  C.Experiment.clear_cache ();
+  T.reset ();
+  T.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> T.set_enabled false)
+    (fun () -> ignore (C.Report.run_all_to_string ~scale ~jobs:2 ()));
+  Alcotest.(check int) "experiment.sim_insts" report_sim_insts
+    (T.counter "experiment.sim_insts")
+
 let () =
   Alcotest.run "golden"
     [ ("expect",
@@ -60,4 +78,6 @@ let () =
              (check_all_paths id))
          C.Experiment.
            [ Fig1; Fig2; Tab1; Fig3; Fig4; Fig5; Fig6; Fig7; Fig8; Fig8p; Fig9;
-             Tab2; Tab3; Fig10; Fig10p; Fig11 ]) ]
+             Tab2; Tab3; Fig10; Fig10p; Fig11 ]);
+      ("passes",
+       [ Alcotest.test_case "cold report sim_insts" `Slow check_pass_count ]) ]

@@ -76,7 +76,7 @@ let test_frontend_config_bp () =
     (String.length bp.Repro_frontend.Predictor.name > 2
     && String.sub bp.Repro_frontend.Predictor.name 0 2 = "L-");
   let fresh1 = U.Frontend_config.make_bp U.Frontend_config.baseline in
-  fresh1.Repro_frontend.Predictor.update 0x40 true;
+  ignore (fresh1.Repro_frontend.Predictor.step 0x40 true);
   let fresh2 = U.Frontend_config.make_bp U.Frontend_config.baseline in
   Alcotest.(check bool) "instances are fresh" true
     (fresh1 != fresh2)

@@ -230,20 +230,6 @@ let test_histogram () =
   check_float "overflow" 1.0 (Stats.Histogram.bin_weight h 11);
   check_float "bin of 5.0" 2.0 (Stats.Histogram.bin_weight h 6)
 
-let test_bytes_for_coverage () =
-  (* Three cells: 100 bytes at weight 90, 50 at 9, 1000 at 1. *)
-  let cells = [ (100, 90.0); (50, 9.0); (1000, 1.0) ] in
-  Alcotest.(check int) "99% needs the two hottest" 150
-    (Stats.bytes_for_coverage cells ~coverage:0.99);
-  Alcotest.(check int) "50% needs the hottest" 100
-    (Stats.bytes_for_coverage cells ~coverage:0.5);
-  Alcotest.(check int) "empty" 0 (Stats.bytes_for_coverage [] ~coverage:0.9);
-  (* Equal weights keep list order: the Fig. 3 numbers depend on it. *)
-  Alcotest.(check int) "tie takes the first cell" 8
-    (Stats.bytes_for_coverage [ (8, 1.); (4, 1.) ] ~coverage:0.5);
-  Alcotest.(check int) "tie, reversed" 4
-    (Stats.bytes_for_coverage [ (4, 1.); (8, 1.) ] ~coverage:0.5)
-
 (* ------------------------------------------------------------------ *)
 
 let contains haystack needle =
@@ -466,8 +452,7 @@ let () =
          Alcotest.test_case "percentile empty" `Quick test_percentile_empty;
          Alcotest.test_case "percentile nan order" `Quick test_percentile_nan;
          Alcotest.test_case "percentiles one-sort" `Quick test_percentiles_many;
-         Alcotest.test_case "histogram" `Quick test_histogram;
-         Alcotest.test_case "bytes_for_coverage" `Quick test_bytes_for_coverage ]);
+         Alcotest.test_case "histogram" `Quick test_histogram ]);
       ("env",
        [ Alcotest.test_case "int clamped" `Quick test_env_int_clamped;
          Alcotest.test_case "float clamped" `Quick test_env_float_clamped;
