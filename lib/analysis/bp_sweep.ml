@@ -23,32 +23,36 @@ let spec_name = function
   | Static Always_not_taken -> "static-not-taken"
   | Static Btfn -> "static-btfn"
 
-(* Runtime engine per configuration. The gshare family is lowered to
-   a bare counter table plus an index mask: the global history
+(* Runtime engine per base predictor. The gshare family is lowered
+   to a bare counter table plus an index mask: the global history
    register is shared across every table (see [run]), so a gshare
    config costs one xor, one mask and one counter poke per
-   conditional instead of two closure calls and a private history
-   push. Other families keep their packed closure form. *)
+   conditional instead of a closure call and a private history push.
+   Other families keep their packed closure form. The loop predictor
+   is not part of an engine: see [run]. *)
 type engine =
-  | Table of {
-      table : F.Counter.t;
-      mask : int;
-      lbp : F.Loop_predictor.t option;
-    }
+  | Table of { table : F.Counter.t; mask : int }
   | Closure of F.Predictor.t
   | Static_e of static
 
+(* Two specs share a base engine when their cores are the same: equal
+   gshare widths, the same opaque maker (physically: a Zoo name's
+   spec always carries the same maker), or the same static scheme. *)
+let same_base a b =
+  match (a, b) with
+  | Named { core = F.Zoo.Gshare_core { history_bits = x }; _ },
+    Named { core = F.Zoo.Gshare_core { history_bits = y }; _ } -> x = y
+  | Named { core = F.Zoo.Opaque f; _ }, Named { core = F.Zoo.Opaque g; _ } ->
+      f == g
+  | Static x, Static y -> x = y
+  | _ -> false
+
 let realize = function
-  | Named { loop; core; _ } -> (
-      match core with
-      | F.Zoo.Gshare_core { history_bits } ->
-          Table
-            { table = F.Counter.create ~bits:2 ~entries:(1 lsl history_bits);
-              mask = (1 lsl history_bits) - 1;
-              lbp = (if loop then Some (F.Loop_predictor.create ()) else None) }
-      | F.Zoo.Opaque mk ->
-          let p = mk () in
-          Closure (if loop then F.Zoo.with_loop p else p))
+  | Named { core = F.Zoo.Gshare_core { history_bits }; _ } ->
+      Table
+        { table = F.Counter.create ~bits:2 ~entries:(1 lsl history_bits);
+          mask = (1 lsl history_bits) - 1 }
+  | Named { core = F.Zoo.Opaque mk; _ } -> Closure (mk ())
   | Static s -> Static_e s
 
 (* Miss matrix layout: config-major, 6 cells per config —
@@ -77,43 +81,70 @@ let section_bit (i : Inst.t) =
 let run src specs =
   Repro_util.Telemetry.with_span "sweep.fused" @@ fun () ->
   let n = Array.length specs in
-  let engines = Array.map realize specs in
+  (* [base.(k)]: config [k]'s engine, the first spec's with its core.
+     An L- config reads its base's prediction unless the loop
+     predictor is confident: the base trains on every outcome
+     whatever the override says, so X and L-X share one. *)
+  let base = Array.make n 0 and firsts = ref [] in
+  Array.iteri
+    (fun k spec ->
+      match List.find_opt (fun (_, j) -> same_base specs.(j) spec) !firsts with
+      | Some (b, _) -> base.(k) <- b
+      | None ->
+          base.(k) <- List.length !firsts;
+          firsts := (base.(k), k) :: !firsts)
+    specs;
+  let engines =
+    Array.of_list (List.rev_map (fun (_, k) -> realize specs.(k)) !firsts)
+  in
+  let nengines = Array.length engines in
+  let loop =
+    Array.map (function Named { loop; _ } -> loop | Static _ -> false) specs
+  in
+  (* A loop predictor's state depends only on the branch stream, so
+     one instance serves every L- config. *)
+  let lbp =
+    if Array.exists Fun.id loop then Some (F.Loop_predictor.create ()) else None
+  in
+  let pred = Array.make nengines false in
   let miss = Array.make (n * cells) 0 in
   let insts_s = ref 0 and insts_p = ref 0 in
   let conds_s = ref 0 and conds_p = ref 0 in
   let ghr = ref 0 in
-  (* Config [k]'s prediction for [i]; the config is then trained on
+  (* Engine [e]'s prediction for [i]; the engine is then trained on
      the outcome. *)
-  let step k (i : Inst.t) pcx =
-    match Array.unsafe_get engines k with
-    | Table { table; mask; lbp } ->
+  let step e (i : Inst.t) pcx =
+    match Array.unsafe_get engines e with
+    | Table { table; mask } ->
         let idx = (pcx lxor !ghr) land mask in
-        let dir =
-          match lbp with
-          | Some l ->
-              let d = F.Loop_predictor.predict l ~pc:i.addr in
-              F.Loop_predictor.update l ~pc:i.addr ~taken:i.taken;
-              d
-          | None -> None
-        in
-        let pred =
-          match dir with Some d -> d | None -> F.Counter.is_taken table idx
-        in
+        let p = F.Counter.is_taken table idx in
         F.Counter.update table idx i.taken;
-        pred
+        p
     | Closure p -> p.F.Predictor.step i.addr i.taken
     | Static_e Always_taken -> true
     | Static_e Always_not_taken -> false
     | Static_e Btfn -> i.target < i.addr
   in
+  (* The loop predictor's int-coded prediction for [i] (-1: no
+     opinion); it is then trained on the outcome. *)
+  let loop_step (i : Inst.t) =
+    match lbp with
+    | None -> -1
+    | Some l ->
+        let d = F.Loop_predictor.prediction l ~pc:i.addr in
+        F.Loop_predictor.update l ~pc:i.addr ~taken:i.taken;
+        d
+  in
   (* One conditional branch, all configs; the history push is hoisted
      out of the per-config loop. *)
   let feed_cond (i : Inst.t) =
     let pcx = i.addr lsr 1 in
-    if i.warmup then
-      for k = 0 to n - 1 do
-        ignore (step k i pcx)
+    if i.warmup then begin
+      ignore (loop_step i);
+      for e = 0 to nengines - 1 do
+        ignore (step e i pcx)
       done
+    end
     else begin
       let sec = section_bit i in
       (if sec = 0 then incr conds_s else incr conds_p);
@@ -123,8 +154,16 @@ let run src specs =
         else if i.target < i.addr then 2 + sec
         else 4 + sec
       in
+      let lp = loop_step i in
+      for e = 0 to nengines - 1 do
+        Array.unsafe_set pred e (step e i pcx)
+      done;
       for k = 0 to n - 1 do
-        if step k i pcx <> i.taken then begin
+        let p =
+          if lp >= 0 && Array.unsafe_get loop k then lp = 1
+          else Array.unsafe_get pred (Array.unsafe_get base k)
+        in
+        if p <> i.taken then begin
           let j = (k * cells) + cell in
           Array.unsafe_set miss j (Array.unsafe_get miss j + 1)
         end

@@ -12,7 +12,11 @@
     so sharing is bit-exact). Misprediction counts land in a flat
     config-major matrix instead of per-config boxed records; opaque
     families (tournament, TAGE, any {!Repro_frontend.Predictor.t}) and
-    static schemes ride along unchanged. [test/test_sweep.ml] pins
+    static schemes ride along unchanged. One loop predictor serves
+    every L- configuration (its state depends only on the branch
+    stream), and L-X shares X's base predictor when both are swept,
+    since the base trains on every outcome whatever the loop
+    override says. [test/test_sweep.ml] pins
     every result against an independent per-configuration simulator.
 
     Runs under a [sweep.fused] telemetry span. *)

@@ -1,9 +1,8 @@
 module Inst = Repro_isa.Inst
 module F = Repro_frontend
 
-(* Miss matrix layout: config-major, 2 cells per config — the
-   section (serial = 0, parallel = 1). *)
-let cells = 2
+(* Histogram rows: the section (serial = 0, parallel = 1). *)
+let rows = 2
 
 type t = {
   entries : int;
@@ -12,7 +11,8 @@ type t = {
   insts_p : int;
   taken_s : int;
   taken_p : int;
-  miss : int array; (* the 2 cells of this config *)
+  miss_s : int;
+  miss_p : int;
 }
 
 let section_bit (i : Inst.t) =
@@ -20,65 +20,34 @@ let section_bit (i : Inst.t) =
 
 let run src configs =
   Repro_util.Telemetry.with_span "sweep.fused" @@ fun () ->
-  let n = Array.length configs in
-  let btbs =
-    Array.map (fun (entries, assoc) -> F.Btb.create ~entries ~assoc) configs
+  (* A BTB is an LRU cache of taken branches keyed by [pc lsr 1]: one
+     stack per distinct set count serves every associativity at that
+     count. Each entry carries the target last installed, so a hit on
+     a stale target is a miss at every associativity. *)
+  let stacks, stack_of =
+    Lru_stack.plan ~payload:true ~rows
+      (Array.map
+         (fun (entries, assoc) -> (F.Btb.geometry ~entries ~assoc, assoc))
+         configs)
   in
-  (* All configs with the same set count decompose pc into the same
-     (set, tag) pair; compute it once per distinct geometry. *)
-  let geos = ref [] in
-  let geo =
-    Array.map
-      (fun b ->
-        let sets = F.Btb.sets b in
-        match List.assoc_opt sets !geos with
-        | Some g -> g
-        | None ->
-            let g = List.length !geos in
-            geos := (sets, g) :: !geos;
-            g)
-      btbs
-  in
-  let ngeo = List.length !geos in
-  let geo_mask = Array.make ngeo 0 and geo_shift = Array.make ngeo 0 in
-  List.iter
-    (fun (sets, g) ->
-      geo_mask.(g) <- sets - 1;
-      geo_shift.(g) <- Repro_util.Units.log2 sets)
-    !geos;
-  let gset = Array.make ngeo 0 and gtag = Array.make ngeo 0 in
-  let miss = Array.make (n * cells) 0 in
+  let nstacks = Array.length stacks in
   let insts_s = ref 0 and insts_p = ref 0 in
   let taken_s = ref 0 and taken_p = ref 0 in
   (* One fetch redirect (taken non-syscall/non-return branch), all
-     configs. *)
+     stacks; warm-up fills them without recording. *)
   let feed_redirect (i : Inst.t) =
     let pcx = i.addr lsr 1 in
-    for g = 0 to ngeo - 1 do
-      Array.unsafe_set gset g (pcx land Array.unsafe_get geo_mask g);
-      Array.unsafe_set gtag g (pcx lsr Array.unsafe_get geo_shift g)
-    done;
     if i.warmup then
-      for k = 0 to n - 1 do
-        let g = Array.unsafe_get geo k in
-        F.Btb.insert_at
-          (Array.unsafe_get btbs k)
-          ~set:(Array.unsafe_get gset g) ~tag:(Array.unsafe_get gtag g)
-          ~target:i.target
+      for s = 0 to nstacks - 1 do
+        ignore (Lru_stack.touch_target (Array.unsafe_get stacks s) pcx i.target)
       done
     else begin
       let sec = section_bit i in
       (if sec = 0 then incr taken_s else incr taken_p);
-      for k = 0 to n - 1 do
-        let g = Array.unsafe_get geo k in
-        let set = Array.unsafe_get gset g and tag = Array.unsafe_get gtag g in
-        let b = Array.unsafe_get btbs k in
-        (match F.Btb.lookup_at b ~set ~tag with
-        | Some target when target = i.target -> ()
-        | Some _ | None ->
-            let j = (k * cells) + sec in
-            Array.unsafe_set miss j (Array.unsafe_get miss j + 1));
-        F.Btb.insert_at b ~set ~tag ~target:i.target
+      for s = 0 to nstacks - 1 do
+        let st = Array.unsafe_get stacks s in
+        let d = Lru_stack.touch_target st pcx i.target in
+        if d > 0 then Lru_stack.record st ~row:sec d
       done
     end
   in
@@ -104,13 +73,15 @@ let run src configs =
             end) ]);
   Array.mapi
     (fun k (entries, assoc) ->
+      let st = stacks.(stack_of.(k)) in
       { entries;
         assoc;
         insts_s = !insts_s;
         insts_p = !insts_p;
         taken_s = !taken_s;
         taken_p = !taken_p;
-        miss = Array.sub miss (k * cells) cells })
+        miss_s = Lru_stack.misses st ~row:0 ~assoc;
+        miss_p = Lru_stack.misses st ~row:1 ~assoc })
     configs
 
 let entries t = t.entries
@@ -123,7 +94,7 @@ let scope_pair s p = function
 
 let insts t scope = scope_pair t.insts_s t.insts_p scope
 let taken_branches t scope = scope_pair t.taken_s t.taken_p scope
-let misses t scope = scope_pair t.miss.(0) t.miss.(1) scope
+let misses t scope = scope_pair t.miss_s t.miss_p scope
 
 let mpki t scope =
   let n = insts t scope in

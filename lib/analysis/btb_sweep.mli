@@ -9,14 +9,17 @@
     address stack predicts them, and in a single-threaded trace the
     RAS is exact. Warmup instructions fill the tables uncounted.
 
-    All configurations with the same set count split the branch
-    address into the same (set index, tag) pair, so the
-    decomposition runs once per distinct geometry per redirect and
-    every same-geometry table is driven through
-    {!Repro_frontend.Btb.lookup_at}/[insert_at] with the shared
-    pair. Miss counts land in a flat config-major matrix.
-    [test/test_sweep.ml] pins every result against an independent
-    per-configuration simulator.
+    The sweep never builds a {!Repro_frontend.Btb.t}. A BTB is an LRU
+    cache of [(pc lsr 1, target)] entries, and LRU is a stack
+    algorithm ({!Lru_stack}): one recency stack per distinct set count,
+    as deep as the widest configuration at that count, gives every
+    associativity at that count from one depth histogram. A redirect
+    misses an [a]-way configuration when its depth is [a] or more, or
+    when its entry holds a stale target (the target of the branch's
+    previous redirect, the same in every configuration that still
+    holds it). [test/test_sweep.ml] pins every result against an
+    independent per-configuration simulator built on
+    {!Repro_frontend.Btb}.
 
     Runs under a [sweep.fused] telemetry span. *)
 
@@ -25,7 +28,8 @@ type t
 
 val run : Tool.Source.t -> (int * int) array -> t array
 (** [run src configs] with [(entries, assoc)] pairs; result [i]
-    corresponds to [configs.(i)]. *)
+    corresponds to [configs.(i)]. A bad geometry raises
+    {!Repro_frontend.Btb.create}'s [Invalid_argument]. *)
 
 val entries : t -> int
 val assoc : t -> int

@@ -4,19 +4,29 @@
     Fetch is modelled as the paper describes it: instructions are
     extracted sequentially from the current line without re-accessing
     the cache until the run crosses into a new line (sequentially or
-    via a taken branch); each new line is one cache access. Line
-    usefulness (consumed bytes per fetched line) is reported by the
-    underlying {!Repro_frontend.Icache}. Warmup instructions warm the
-    caches uncounted.
+    via a taken branch); each new line is one cache access. Warmup
+    instructions warm the caches uncounted.
 
     The access-vs-extract decision — "does this instruction leave the
     line being fetched?" — depends only on the instruction stream and
     the line size, never on cache contents. Configurations are
-    therefore grouped by line size: the instruction's line span, the
-    decision, and the current-fetch-line register are computed once
-    per group per instruction, and on the (dominant) same-line path
-    the consumed-granule bitmask is precomputed once and or'd into
-    every member cache through {!Repro_frontend.Icache.consume_line}.
+    therefore grouped by line size, and the instruction's line span,
+    the decision, and the current-fetch-line register are computed
+    once per group per instruction.
+
+    Within a group, every LRU configuration of a sweep without
+    next-line prefetch is served by an {!Lru_stack}: one recency stack
+    per distinct set count, as deep as the widest configuration at
+    that count, gives the exact misses of every associativity at that
+    count. A line-crossing access misses at the depth of its deepest
+    line. Preuse and prefetch configurations run on the
+    {!Repro_frontend.Icache} model in the same replay: on the
+    (dominant) same-line path the consumed-granule mask is
+    accumulated once per group and or'd into each model through
+    {!Repro_frontend.Icache.consume_line}, and a run of warm-up
+    repeats of one line reaches each model at once through
+    {!Repro_frontend.Icache.repeat_hits}. Line usefulness needs the
+    model, so it has its own entry point, {!usefulness}.
     [test/test_sweep.ml] pins every result against an independent
     per-configuration simulator.
 
@@ -42,11 +52,30 @@ val cfg :
 
 val run : ?next_line_prefetch:bool -> Tool.Source.t -> config array -> t array
 (** [run src configs]; result [i] corresponds to [configs.(i)].
-    [next_line_prefetch] applies to every configuration of the sweep. *)
+    [next_line_prefetch] applies to every configuration of the sweep.
+    A bad geometry raises {!Repro_frontend.Icache.create}'s
+    [Invalid_argument]. *)
 
 val insts : t -> Branch_mix.scope -> int
 val misses : t -> Branch_mix.scope -> int
 val mpki : t -> Branch_mix.scope -> float
+
 val accesses : t -> int
-val usefulness : t -> float
-val cache : t -> Repro_frontend.Icache.t
+(** Line lookups, warm-up included (the cache model's
+    {!Repro_frontend.Icache.accesses}). *)
+
+val line_misses : t -> int
+(** Demand misses per line rather than per instruction, warm-up
+    included (the cache model's {!Repro_frontend.Icache.misses}). *)
+
+val prefetches : t -> int
+val useful_prefetches : t -> int
+(** Next-line prefetch fills issued, and those a demand access later
+    used; 0 without [next_line_prefetch]. *)
+
+val usefulness :
+  ?next_line_prefetch:bool -> Tool.Source.t -> config -> float
+(** Line usefulness ({!Repro_frontend.Icache.usefulness}) of one
+    configuration over [src]. It needs each line's consumed granules,
+    which LRU stacks do not track, so it always runs the cache
+    model. *)

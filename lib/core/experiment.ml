@@ -897,11 +897,8 @@ let fig9u_rows =
         bench_map ~jobs ~where
           (fun (p : W.Profile.t) -> p.name)
           (fun (p : W.Profile.t) ->
-            let r =
-              A.Icache_sweep.run (source scale p)
-                [| A.Icache_sweep.cfg (16384, 128, 8) |]
-            in
-            A.Icache_sweep.usefulness r.(0))
+            A.Icache_sweep.usefulness (source scale p)
+              (A.Icache_sweep.cfg (16384, 128, 8)))
           profiles) }
 
 let fig8 ~jobs scale =
@@ -1026,21 +1023,12 @@ let tab2 ~jobs:_ _ =
 (* ------------------------------------------------------------------ *)
 (* Table III *)
 
-(* Each design point's budget, core area and core power: static, but
-   [Mcpat.budget] builds real I-cache and BTB instances, so they are
-   computed once per process. *)
-let tab3_points = ref None
-
+(* Each design point's budget, core area and core power. *)
 let tab3_model () =
   let point cfg =
     (U.Mcpat.budget cfg, U.Mcpat.core_area_mm2 cfg, U.Mcpat.core_power_w cfg)
   in
-  locked (fun () ->
-      if !tab3_points = None then
-        tab3_points :=
-          Some (point U.Frontend_config.baseline,
-                point U.Frontend_config.tailored);
-      Option.get !tab3_points)
+  (point U.Frontend_config.baseline, point U.Frontend_config.tailored)
 
 let tab3 ~jobs:_ _ =
   let t =

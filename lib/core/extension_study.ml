@@ -50,14 +50,13 @@ let prefetch_table ?insts ~benchmarks () =
       ("16K/64B + next-line", (16384, 64, 8), true) ]
   in
   let cell r =
-    let cache = A.Icache_sweep.cache r in
     let mpki = Table.fmt_float (A.Icache_sweep.mpki r total) in
-    let issued = F.Icache.prefetches cache in
+    let issued = A.Icache_sweep.prefetches r in
     if issued = 0 then mpki
     else
       Printf.sprintf "%s (%.0f%%)" mpki
         (100.0
-        *. float_of_int (F.Icache.useful_prefetches cache)
+        *. float_of_int (A.Icache_sweep.useful_prefetches r)
         /. float_of_int issued)
   in
   table

@@ -9,12 +9,15 @@ type t = {
   mutable clock : int;
 }
 
-let create ~entries ~assoc =
+let geometry ~entries ~assoc =
   if not (Repro_util.Units.is_power_of_two entries) then
     invalid_arg "Btb.create: entries";
   if not (Repro_util.Units.is_power_of_two assoc) || assoc > entries then
     invalid_arg "Btb.create: assoc";
-  let sets = entries / assoc in
+  entries / assoc
+
+let create ~entries ~assoc =
+  let sets = geometry ~entries ~assoc in
   { sets;
     assoc;
     set_shift = Repro_util.Units.log2 sets;
@@ -38,8 +41,8 @@ let touch t way =
   t.clock <- t.clock + 1;
   way.lru <- t.clock
 
-let lookup_at t ~set ~tag =
-  let set = t.ways.(set) in
+let lookup t ~pc =
+  let set = t.ways.(set_of t ~pc) and tag = tag_of t ~pc in
   let rec go i =
     if i = t.assoc then None
     else if set.(i).tag = tag then begin
@@ -50,10 +53,8 @@ let lookup_at t ~set ~tag =
   in
   go 0
 
-let lookup t ~pc = lookup_at t ~set:(set_of t ~pc) ~tag:(tag_of t ~pc)
-
-let insert_at t ~set ~tag ~target =
-  let set = t.ways.(set) in
+let insert t ~pc ~target =
+  let set = t.ways.(set_of t ~pc) and tag = tag_of t ~pc in
   let rec find i = if i = t.assoc then None
     else if set.(i).tag = tag then Some set.(i) else find (i + 1)
   in
@@ -69,9 +70,6 @@ let insert_at t ~set ~tag ~target =
   way.tag <- tag;
   way.target <- target;
   touch t way
-
-let insert t ~pc ~target =
-  insert_at t ~set:(set_of t ~pc) ~tag:(tag_of t ~pc) ~target
 
 (* 48-bit VA: tag bits + target payload (compressed to 32 bits as in
    real BTBs) + LRU bits. *)

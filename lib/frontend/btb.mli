@@ -5,13 +5,19 @@
     of aliasing that high associativity must absorb. LRU replacement.
 
     A lookup that misses, or hits with a stale target, costs a fetch
-    redirect; {!Repro_analysis.Btb_sweep} counts those as BTB MPKI events. *)
+    redirect; {!Repro_analysis.Btb_sweep} counts those as BTB MPKI events
+    (with LRU stacks: it never builds a [t]). *)
 
 type t
 
 val create : entries:int -> assoc:int -> t
 (** [entries] total entries, [assoc]-way sets. Both powers of two,
     [assoc <= entries]. *)
+
+val geometry : entries:int -> assoc:int -> int
+(** The set count of [create ~entries ~assoc], raising the same
+    [Invalid_argument] as [create] for a bad geometry, without
+    building the table. *)
 
 val entries : t -> int
 val assoc : t -> int
@@ -22,19 +28,6 @@ val lookup : t -> pc:int -> int option
 
 val insert : t -> pc:int -> target:int -> unit
 (** Record a taken branch's target (allocates or refreshes). *)
-
-(** {1 Decomposed operations}
-
-    [lookup] and [insert] split pc into a set index and a tag; fused
-    sweeps ({!Repro_analysis.Btb_sweep}) decompose once per distinct
-    set count and drive every same-geometry configuration with the
-    shared pair. [lookup t ~pc] = [lookup_at t ~set:(set_of t ~pc)
-    ~tag:(tag_of t ~pc)], and likewise for [insert]. *)
-
-val set_of : t -> pc:int -> int
-val tag_of : t -> pc:int -> int
-val lookup_at : t -> set:int -> tag:int -> int option
-val insert_at : t -> set:int -> tag:int -> target:int -> unit
 
 val storage_bits : t -> int
 (** Tag + target payload per entry. *)

@@ -29,8 +29,7 @@ type t = {
   mutable cc_idx : int; (* its flat way index — valid only while the tag matches *)
 }
 
-let create ?(next_line_prefetch = false) ?(policy = Replacement.Lru)
-    ~size_bytes ~line_bytes ~assoc () =
+let geometry ~size_bytes ~line_bytes ~assoc =
   let open Repro_util.Units in
   if not (is_power_of_two size_bytes && is_power_of_two line_bytes
           && is_power_of_two assoc) then
@@ -38,7 +37,12 @@ let create ?(next_line_prefetch = false) ?(policy = Replacement.Lru)
   if line_bytes < 4 then invalid_arg "Icache.create: line too narrow";
   let lines = size_bytes / line_bytes in
   if assoc > lines then invalid_arg "Icache.create: assoc too high";
-  let sets = lines / assoc in
+  lines / assoc
+
+let create ?(next_line_prefetch = false) ?(policy = Replacement.Lru)
+    ~size_bytes ~line_bytes ~assoc () =
+  let sets = geometry ~size_bytes ~line_bytes ~assoc in
+  let lines = sets * assoc in
   { size = size_bytes;
     line = line_bytes;
     assoc;
@@ -188,6 +192,25 @@ and access_line_slow t ~line ~gmask =
       false
     end
   end
+
+(* [n] fast-path hits collapsed: each would bump [accesses] and the
+   clock, restamp the same way and OR its mask into the same granule
+   word, so together they leave one stamp at the final clock and the
+   OR of their masks. *)
+let repeat_hits t ~line ~gmask ~n =
+  line = t.cc_line
+  && Array.unsafe_get t.tags t.cc_idx = line lsr t.set_shift
+  && begin
+       t.accesses <- t.accesses + n;
+       t.clock <- t.clock + n;
+       Array.unsafe_set t.lru t.cc_idx t.clock;
+       Array.unsafe_set t.touched t.cc_idx
+         (Array.unsafe_get t.touched t.cc_idx lor gmask);
+       if t.preuse then
+         Replacement.on_hits t.policy ~way:t.cc_idx
+           ~set:(line land (t.sets - 1)) ~line ~n;
+       true
+     end
 
 let access t ~addr ~size =
   assert (size > 0);

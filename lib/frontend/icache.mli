@@ -17,6 +17,11 @@ val create :
     policy; [Lru] is byte-identical to the historical hard-wired
     behavior. *)
 
+val geometry : size_bytes:int -> line_bytes:int -> assoc:int -> int
+(** The set count of a cache of this geometry, raising the same
+    [Invalid_argument] as {!create} for a bad one, without building
+    it. *)
+
 val size_bytes : t -> int
 val line_bytes : t -> int
 val assoc : t -> int
@@ -37,6 +42,16 @@ val access_line : t -> line:int -> gmask:int -> bool
     [line]. Fused sweeps ({!Repro_analysis.Icache_sweep}) compute the
     line and mask once per line size and probe every configuration
     sharing that line size with them. *)
+
+val repeat_hits : t -> line:int -> gmask:int -> n:int -> bool
+(** [n >= 1] further [access_line] calls of [line], when the most
+    recent lookup left [line] resident so that each of them would
+    take the current-line fast path: applies them at once (accesses
+    and the clock advance by [n], the way takes one stamp, [gmask] is
+    the OR of their granule masks, and the replacement policy sees
+    them through {!Replacement.on_hits}) and returns [true]. Otherwise
+    changes nothing and returns [false]. Fused sweeps collapse
+    same-line warm-up runs with it. *)
 
 val consume : t -> addr:int -> size:int -> unit
 (** Mark bytes as consumed from an already-resident line without

@@ -31,12 +31,12 @@ let tag_of t pc =
   let tag = (x lxor (x lsr 7) lxor (x lsr 15)) land ((1 lsl t.tag_bits) - 1) in
   if tag = 0 then 1 else tag
 
-let predict t ~pc =
+let prediction t ~pc =
   let e = t.entries.(slot t pc) in
   if e.tag = tag_of t pc && e.conf >= t.conf_threshold && e.trip > 0 then
     (* Exit (opposite direction) exactly on the last iteration. *)
-    if e.current = e.trip - 1 then Some (not e.dir) else Some e.dir
-  else None
+    Bool.to_int (if e.current = e.trip - 1 then not e.dir else e.dir)
+  else -1
 
 let update t ~pc ~taken =
   let e = t.entries.(slot t pc) in
@@ -79,8 +79,8 @@ let combine t base =
   Predictor.make
     ~name:("L-" ^ base.Predictor.name)
     ~step:(fun pc taken ->
-      let own = predict t ~pc in
+      let own = prediction t ~pc in
       let fallback = base.Predictor.step pc taken in
       update t ~pc ~taken;
-      match own with Some dir -> dir | None -> fallback)
+      if own >= 0 then own = 1 else fallback)
     ~storage_bits:(storage_bits t + base.Predictor.storage_bits)

@@ -13,9 +13,11 @@ val create : ?entries:int -> ?conf_threshold:int -> unit -> t
 (** Defaults: 64 entries, confidence threshold 2. Entries must be a
     power of two. *)
 
-val predict : t -> pc:int -> bool option
-(** [Some dir] when the entry for [pc] is tagged, confident, and mid
-    sequence; [None] when the LBP has no opinion. *)
+val prediction : t -> pc:int -> int
+(** The direction as [1] (taken) or [0] when the entry for [pc] is
+    tagged, confident, and mid sequence; [-1] when the LBP has no
+    opinion. An int rather than an option, so the per-branch loop of
+    a sweep allocates nothing. *)
 
 val update : t -> pc:int -> taken:bool -> unit
 (** Observe the resolved branch; trains trip counts and confidence. *)

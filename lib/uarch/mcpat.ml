@@ -65,15 +65,33 @@ let btb_power_fit =
 let rest_mm2 = 2.49 -. (0.31 +. 0.14 +. 0.125)
 let rest_w = 0.85 -. (0.075 +. 0.032 +. 0.017)
 
-let budget cfg =
-  { icache_mm2 = Cacti.eval icache_area_fit (icache_bits cfg);
-    bp_mm2 = Cacti.eval bp_area_fit (bp_bits cfg);
-    btb_mm2 = Cacti.eval btb_area_fit (btb_bits cfg);
+let compute cfg =
+  let icache = icache_bits cfg and bp = bp_bits cfg and btb = btb_bits cfg in
+  { icache_mm2 = Cacti.eval icache_area_fit icache;
+    bp_mm2 = Cacti.eval bp_area_fit bp;
+    btb_mm2 = Cacti.eval btb_area_fit btb;
     rest_mm2;
-    icache_w = Cacti.eval icache_power_fit (icache_bits cfg);
-    bp_w = Cacti.eval bp_power_fit (bp_bits cfg);
-    btb_w = Cacti.eval btb_power_fit (btb_bits cfg);
+    icache_w = Cacti.eval icache_power_fit icache;
+    bp_w = Cacti.eval bp_power_fit bp;
+    btb_w = Cacti.eval btb_power_fit btb;
     rest_w }
+
+(* A budget is a pure function of the configuration, but computing it
+   builds a real I-cache, BTB and predictor to read their storage, and
+   the CMP figures ask for the same few configurations once per core
+   per benchmark. Memoized process-wide; the lock makes it safe from
+   any domain. *)
+let memo : (Frontend_config.t, budget) Hashtbl.t = Hashtbl.create 8
+let memo_lock = Mutex.create ()
+
+let budget cfg =
+  Mutex.protect memo_lock (fun () ->
+      match Hashtbl.find_opt memo cfg with
+      | Some b -> b
+      | None ->
+          let b = compute cfg in
+          Hashtbl.add memo cfg b;
+          b)
 
 let core_area_mm2 cfg =
   let b = budget cfg in

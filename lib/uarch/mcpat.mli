@@ -18,6 +18,7 @@ type budget = {
 }
 
 val budget : Frontend_config.t -> budget
+(** Memoized per configuration (safe from any domain). *)
 
 val core_area_mm2 : Frontend_config.t -> float
 val core_power_w : Frontend_config.t -> float
