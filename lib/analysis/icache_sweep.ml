@@ -47,15 +47,7 @@ type member = Stack of { stack : int; assoc : int } | Model of F.Icache.t
    — at the next access, a warmup instruction, or the end of the
    stream. The cache state each individual [consume] would have seen
    is exactly the state at flush time, so the deferred bulk or is
-   bit-identical to per-instruction consumes. Stacks ignore consumes.
-
-   Warm-up accesses every instruction's line. A repeat of the
-   previous warm-up line finds it on top of its set's stack in every
-   stack, where a touch changes nothing, so the stacks skip it; the
-   models collect the repeats ([wn], masks in [wmasks], their OR in
-   [wmask]) and take them at once through [Icache.repeat_hits] when
-   the run ends. A model that would not hit them (a bypassed or
-   self-evicted line) replays them one by one instead. *)
+   bit-identical to per-instruction consumes. Stacks ignore consumes. *)
 type group = {
   line_shift : int;
   line_mask : int; (* line_bytes - 1 *)
@@ -66,14 +58,7 @@ type group = {
   mutable last_line : int; (* line currently being consumed; -1 = none *)
   mutable pending : int; (* granules consumed from [pending_line], unapplied *)
   mutable pending_line : int;
-  mutable wline : int; (* line of the current warm-up run; -1 = none *)
-  mutable wn : int;
-  mutable wmask : int;
-  wmasks : int array;
 }
-
-(* Warm-up repeats a group holds back at most before applying them. *)
-let wcap = 64
 
 let section_bit (i : Inst.t) =
   match i.section with Repro_isa.Section.Serial -> 0 | Repro_isa.Section.Parallel -> 1
@@ -130,11 +115,7 @@ let build_groups ?next_line_prefetch ~use_stack configs =
       accesses = 0;
       last_line = -1;
       pending = 0;
-      pending_line = -1;
-      wline = -1;
-      wn = 0;
-      wmask = 0;
-      wmasks = Array.make wcap 0 }
+      pending_line = -1 }
   in
   (Array.of_list (List.mapi group (List.rev !sizes)), members, group_of)
 
@@ -146,24 +127,6 @@ let flush grp =
         ~gmask:grp.pending
     done;
     grp.pending <- 0
-  end
-
-(* Apply the held-back warm-up repeats of [wline] to every model. *)
-let settle grp =
-  let n = grp.wn in
-  if n > 0 then begin
-    let models = grp.models and line = grp.wline in
-    for m = 0 to Array.length models - 1 do
-      let c = Array.unsafe_get models m in
-      if not (F.Icache.repeat_hits c ~line ~gmask:grp.wmask ~n) then
-        for j = 0 to n - 1 do
-          ignore
-            (F.Icache.access_line c ~line
-               ~gmask:(Array.unsafe_get grp.wmasks j))
-        done
-    done;
-    grp.wn <- 0;
-    grp.wmask <- 0
   end
 
 (* Granule mask of the instruction's bytes within its (single) line:
@@ -208,37 +171,21 @@ let grouped_feed ~groups ~on_inst ~on_miss =
         let first = i.addr lsr grp.line_shift
         and last = (i.addr + i.size - 1) lsr grp.line_shift in
         grp.accesses <- grp.accesses + (last - first + 1);
-        if first <> last then begin
-          settle grp;
-          grp.wline <- -1;
-          touch_stacks grp ~first ~last ~sec:(-1);
+        touch_stacks grp ~first ~last ~sec:(-1);
+        if first = last then begin
+          let gmask = group_gmask grp ~addr:i.addr ~size:i.size in
+          for m = 0 to Array.length models - 1 do
+            ignore
+              (F.Icache.access_line (Array.unsafe_get models m) ~line:first
+                 ~gmask)
+          done
+        end
+        else
           for m = 0 to Array.length models - 1 do
             ignore
               (F.Icache.access (Array.unsafe_get models m) ~addr:i.addr
                  ~size:i.size)
           done
-        end
-        else begin
-          let gmask = group_gmask grp ~addr:i.addr ~size:i.size in
-          if first = grp.wline then begin
-            if Array.length models > 0 then begin
-              if grp.wn = wcap then settle grp;
-              Array.unsafe_set grp.wmasks grp.wn gmask;
-              grp.wn <- grp.wn + 1;
-              grp.wmask <- grp.wmask lor gmask
-            end
-          end
-          else begin
-            settle grp;
-            touch_stacks grp ~first ~last ~sec:(-1);
-            for m = 0 to Array.length models - 1 do
-              ignore
-                (F.Icache.access_line (Array.unsafe_get models m) ~line:first
-                   ~gmask)
-            done;
-            grp.wline <- first
-          end
-        end
       done
     else begin
       let sec = section_bit i in
@@ -249,10 +196,8 @@ let grouped_feed ~groups ~on_inst ~on_miss =
         and last = (i.addr + i.size - 1) lsr grp.line_shift in
         if first <> grp.last_line || last <> grp.last_line then begin
           (* New line for every member of the group: settle the ended
-             runs, then access each. *)
+             run, then access each. *)
           flush grp;
-          settle grp;
-          grp.wline <- -1;
           grp.accesses <- grp.accesses + (last - first + 1);
           touch_stacks grp ~first ~last ~sec;
           let models = grp.models and ids = grp.model_ids in
@@ -298,11 +243,7 @@ let simulate ?next_line_prefetch ~use_stack src configs =
         Array.unsafe_set miss j (Array.unsafe_get miss j + 1))
   in
   Tool.run_all_source src [ feed ];
-  Array.iter
-    (fun grp ->
-      flush grp;
-      settle grp)
-    groups;
+  Array.iter flush groups;
   let result k member =
     let grp = groups.(group_of.(k)) in
     let r =

@@ -23,9 +23,9 @@
     {!Repro_frontend.Icache} model in the same replay: on the
     (dominant) same-line path the consumed-granule mask is
     accumulated once per group and or'd into each model through
-    {!Repro_frontend.Icache.consume_line}, and a run of warm-up
-    repeats of one line reaches each model at once through
-    {!Repro_frontend.Icache.repeat_hits}. Line usefulness needs the
+    {!Repro_frontend.Icache.consume_line}; every warm-up instruction
+    is one access of each model and one touch of each stack. Line
+    usefulness needs the
     model, so it has its own entry point, {!usefulness}.
     [test/test_sweep.ml] pins every result against an independent
     per-configuration simulator.

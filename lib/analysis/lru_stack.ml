@@ -17,8 +17,6 @@ let create ?(payload = false) ~sets ~depth ~rows () =
     vals = (if payload then Array.make (sets * depth) 0 else [||]);
     hist = Array.make (rows * (depth + 1)) 0 }
 
-let depth t = t.depth
-
 let touch t key =
   let keys = t.keys and depth = t.depth in
   let base = (key land t.set_mask) * depth in

@@ -14,23 +14,16 @@
 
 type t
 
-val create : ?payload:bool -> sets:int -> depth:int -> rows:int -> unit -> t
-(** [sets] a power of two, [depth >= 1]. The histogram has [rows]
-    rows (e.g. one per trace section). With [payload], every entry
-    carries an int ({!touch_target}). *)
-
-val depth : t -> int
-
 val touch : t -> int -> int
 (** [touch t key] is [key]'s depth in its set's stack before this
-    access (0 = most recently used), or [depth t] when it is not among
-    the set's [depth] most recent keys; [key] becomes the set's most
-    recently used key. *)
+    access (0 = most recently used), or the stack's depth when it is
+    not among the set's that many most recent keys; [key] becomes the
+    set's most recently used key. *)
 
 val touch_target : t -> int -> int -> int
 (** [touch_target t key v], on a [payload] stack: as {!touch}, but a
-    key present with a payload other than [v] also reports
-    [depth t] (a stale entry misses at every associativity). The
+    key present with a payload other than [v] also reports the
+    stack's depth (a stale entry misses at every associativity). The
     entry's payload becomes [v]. *)
 
 val record : t -> row:int -> int -> unit
@@ -38,11 +31,15 @@ val record : t -> row:int -> int -> unit
 
 val misses : t -> row:int -> assoc:int -> int
 (** Accesses recorded in [row] at depth [assoc] or deeper: the misses
-    of an [assoc]-way cache ([assoc <= depth t]) with this set count. *)
+    of an [assoc]-way cache with this set count ([assoc] at most the
+    stack's depth). *)
 
 val plan :
   ?payload:bool -> rows:int -> (int * int) array -> t array * int array
-(** [plan ~rows geometries] with [(sets, assoc)] per configuration:
-    one stack per distinct set count, in first-appearance order, as
-    deep as the widest configuration at that count, and each
-    configuration's stack index. *)
+(** [plan ~rows geometries] with [(sets, assoc)] per configuration
+    ([sets] a power of two, [assoc >= 1]): one stack per distinct set
+    count, in first-appearance order, as deep as the widest
+    configuration at that count, and each configuration's stack index.
+    Each stack's histogram has [rows] rows (e.g. one per trace
+    section). With [payload], every entry carries an int
+    ({!touch_target}). *)

@@ -193,25 +193,6 @@ and access_line_slow t ~line ~gmask =
     end
   end
 
-(* [n] fast-path hits collapsed: each would bump [accesses] and the
-   clock, restamp the same way and OR its mask into the same granule
-   word, so together they leave one stamp at the final clock and the
-   OR of their masks. *)
-let repeat_hits t ~line ~gmask ~n =
-  line = t.cc_line
-  && Array.unsafe_get t.tags t.cc_idx = line lsr t.set_shift
-  && begin
-       t.accesses <- t.accesses + n;
-       t.clock <- t.clock + n;
-       Array.unsafe_set t.lru t.cc_idx t.clock;
-       Array.unsafe_set t.touched t.cc_idx
-         (Array.unsafe_get t.touched t.cc_idx lor gmask);
-       if t.preuse then
-         Replacement.on_hits t.policy ~way:t.cc_idx
-           ~set:(line land (t.sets - 1)) ~line ~n;
-       true
-     end
-
 let access t ~addr ~size =
   assert (size > 0);
   let first_line = addr lsr t.line_shift

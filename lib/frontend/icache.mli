@@ -43,16 +43,6 @@ val access_line : t -> line:int -> gmask:int -> bool
     line and mask once per line size and probe every configuration
     sharing that line size with them. *)
 
-val repeat_hits : t -> line:int -> gmask:int -> n:int -> bool
-(** [n >= 1] further [access_line] calls of [line], when the most
-    recent lookup left [line] resident so that each of them would
-    take the current-line fast path: applies them at once (accesses
-    and the clock advance by [n], the way takes one stamp, [gmask] is
-    the OR of their granule masks, and the replacement policy sees
-    them through {!Replacement.on_hits}) and returns [true]. Otherwise
-    changes nothing and returns [false]. Fused sweeps collapse
-    same-line warm-up runs with it. *)
-
 val consume : t -> addr:int -> size:int -> unit
 (** Mark bytes as consumed from an already-resident line without
     counting a cache access (sequential extraction within the current

@@ -91,20 +91,14 @@ let clamp w =
 let train p ~way ~reused =
   let yout = p.youts.(way) in
   let predicted_dead = yout >= tau in
-  let moved = ref false in
   if predicted_dead = reused || abs yout <= theta then begin
     let base = way * tables in
     for j = 0 to tables - 1 do
       let k = (j * table_entries) + p.feat.(base + j) in
       let w = Array.unsafe_get p.wt k in
-      let w' = clamp (if reused then w - 1 else w + 1) in
-      if w' <> w then begin
-        Array.unsafe_set p.wt k w';
-        moved := true
-      end
+      Array.unsafe_set p.wt k (clamp (if reused then w - 1 else w + 1))
     done
-  end;
-  !moved
+  end
 
 (* Predict [line] under the current history: write the six table
    indices to [dst] from offset [off] and return the sum. The features
@@ -146,39 +140,8 @@ let on_hit t ~way ~set ~line =
   match t.state with
   | Lru_state -> ()
   | Preuse_state p ->
-      if sampled_set set then ignore (train p ~way ~reused:true);
+      if sampled_set set then train p ~way ~reused:true;
       set_yout p ~way (predict p ~line p.feat (way * tables))
-
-(* One iteration of [on_hit] + [note_access] reads and writes only
-   the trained weights, the way's recorded indices and sum, and the
-   two history registers. An iteration that leaves all of them as it
-   found them is a fixed point: every later one repeats it exactly.
-   Weights only fall under reuse training and the history settles on
-   [line] after two iterations, so one is reached within a few dozen
-   iterations. The fresh indices go through the [prepare] scratch,
-   which no fill is using between demand accesses. *)
-let on_hits t ~way ~set ~line ~n =
-  match t.state with
-  | Lru_state -> ()
-  | Preuse_state p ->
-      let base = way * tables in
-      let rec go n =
-        if n > 0 then begin
-          let moved = sampled_set set && train p ~way ~reused:true in
-          let yout = predict p ~line p.s_idx 0 in
-          let same = ref ((not moved) && yout = p.youts.(way)
-                          && p.h1 = line && p.h2 = line) in
-          for j = 0 to tables - 1 do
-            if p.feat.(base + j) <> p.s_idx.(j) then same := false
-          done;
-          Array.blit p.s_idx 0 p.feat base tables;
-          set_yout p ~way yout;
-          p.h2 <- p.h1;
-          p.h1 <- line;
-          if not !same then go (n - 1)
-        end
-      in
-      go n
 
 let prepare t ~set ~line =
   match t.state with
@@ -233,7 +196,7 @@ let on_fill t ~way ~set ~evicted =
   match t.state with
   | Lru_state -> ()
   | Preuse_state p ->
-      if evicted && sampled_set set then ignore (train p ~way ~reused:false);
+      if evicted && sampled_set set then train p ~way ~reused:false;
       Array.blit p.s_idx 0 p.feat (way * tables) tables;
       set_yout p ~way p.s_yout
 

@@ -83,12 +83,6 @@ val on_hit : t -> way:int -> set:int -> line:int -> unit
     "reused" (sampler sets only), then re-predict and re-record the
     way's state for the next round. *)
 
-val on_hits : t -> way:int -> set:int -> line:int -> n:int -> unit
-(** [n] demand hits on [way] in a row, each [on_hit] then
-    [note_access] of the same [line]. Stops iterating once an
-    iteration changes nothing, since every later one would repeat it;
-    the state left is exactly that of the [n] pairs. *)
-
 val prepare : t -> set:int -> line:int -> bool
 (** An absent [line] is about to be filled into [set]: predict it once
     (the prediction is held until the next [on_fill] consumes it) and

@@ -12,11 +12,10 @@
 
    The oracles are independent of the LRU-stack algorithm the LRU
    I-cache and BTB sweeps run on: they drive the set-associative
-   Frontend.Icache and Frontend.Btb models. Two further properties
-   hold the kernels to theory rather than to another implementation:
-   collapsed warm-up repeats ([Icache.repeat_hits]) equal the
-   accesses they stand for, and LRU misses never rise with more ways
-   at a set count or with more sets at a number of ways. *)
+   Frontend.Icache and Frontend.Btb models. A further property holds
+   the kernels to theory rather than to another implementation: LRU
+   misses never rise with more ways at a set count or with more sets
+   at a number of ways. *)
 
 module I = Repro_isa.Inst
 module S = Repro_isa.Section
@@ -387,74 +386,6 @@ let prop_split_ranges =
         whole parts)
 
 (* ------------------------------------------------------------------ *)
-(* Collapsed warm-up repeats: what the sweep does with a run of n
-   same-line accesses — [repeat_hits], or, when the line is not the
-   resident current line, the n accesses one by one — must leave the
-   cache exactly as the n [access_line] calls do: every counter, the
-   usefulness, and every later access's outcome (which exposes the
-   LRU stamps and the replacement policy's weights and history). *)
-
-(* With [alias], the two demand lines before the repeated [line] agree
-   with it in the low bits the preuse feature hashes read, so the
-   first repeat's features can equal the way's recorded ones while
-   the history has not yet settled on [line]: a fixed-point test
-   that ignored the history would stop one iteration early. *)
-let repeat_arb =
-  let access = QCheck.Gen.(pair (int_bound 95) (int_range 1 255)) in
-  QCheck.make
-    QCheck.Gen.(
-      let* policy = oneofl F.Replacement.all_specs in
-      let* prefetch = bool in
-      let* size, assoc = oneofl [ (256, 1); (512, 2); (1024, 4); (512, 16) ] in
-      let* prefix = list_size (int_range 0 300) access in
-      let* line = int_bound 95 in
-      let* alias = bool in
-      let* a = map (fun k -> line + (256 * k)) (int_range 1 7) in
-      let* b = map (fun k -> a + (512 * k)) (int_range 1 3) in
-      let* ga = int_range 1 255 and* gb = int_range 1 255 in
-      let prefix = if alias then prefix @ [ (b, gb); (a, ga) ] else prefix in
-      let* masks = list_size (int_range 1 120) (int_range 1 255) in
-      let* suffix = list_size (int_range 0 300) access in
-      return (policy, prefetch, (size, assoc), prefix, line, masks, suffix))
-    ~print:(fun (policy, prefetch, (size, assoc), prefix, line, masks, suffix) ->
-      Printf.sprintf "<%s%s %dB/%dw, %d accesses, line %d x%d, %d accesses>"
-        (F.Replacement.spec_to_string policy)
-        (if prefetch then "+prefetch" else "")
-        size assoc (List.length prefix) line (List.length masks)
-        (List.length suffix))
-
-let prop_repeat_hits =
-  QCheck.Test.make ~name:"Icache.repeat_hits ~n == n access_line calls"
-    ~count:300 repeat_arb
-    (fun (policy, next_line_prefetch, (size_bytes, assoc), prefix, line, masks,
-          suffix) ->
-      let make () =
-        F.Icache.create ~next_line_prefetch ~policy ~size_bytes ~line_bytes:32
-          ~assoc ()
-      in
-      let a = make () and b = make () in
-      let both f = (f a, f b) in
-      let access c (l, gmask) = F.Icache.access_line c ~line:l ~gmask in
-      List.iter (fun x -> ignore (both (fun c -> access c x))) prefix;
-      ignore (both (fun c -> access c (line, List.hd masks)));
-      List.iter (fun g -> ignore (access a (line, g))) masks;
-      let n = List.length masks in
-      if not
-           (F.Icache.repeat_hits b ~line
-              ~gmask:(List.fold_left ( lor ) 0 masks) ~n)
-      then List.iter (fun g -> ignore (access b (line, g))) masks;
-      let same () =
-        F.Icache.accesses a = F.Icache.accesses b
-        && F.Icache.misses a = F.Icache.misses b
-        && F.Icache.prefetches a = F.Icache.prefetches b
-        && F.Icache.useful_prefetches a = F.Icache.useful_prefetches b
-        && feq (F.Icache.usefulness a) (F.Icache.usefulness b)
-      in
-      same ()
-      && List.for_all (fun x -> access a x = access b x) suffix
-      && same ())
-
-(* ------------------------------------------------------------------ *)
 (* LRU inclusion (Mattson et al.): at a fixed set count an a-way
    set holds the a most recently used lines of that set, so more ways
    never add a miss; with bit-selected sets, each set of a cache with
@@ -566,7 +497,6 @@ let () =
            prop_split_ranges; prop_icache_fused_seq;
            prop_icache_fused_mixed_seq;
            prop_icache_fused_preuse_prefetch_seq ]);
-      ("repeat", Qseed.all [ prop_repeat_hits ]);
       ("lru",
        Qseed.all [ prop_inclusion ]
        @ [ Alcotest.test_case "41 profiles at scale 0.05" `Slow
